@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .commitments import Opening
-from .induced import MPrimeInstance, MPrimeWitness, MPrimeRelation
+from .induced import MPrimeInstance, MPrimeWitness, MPrimeRelation, instance_description
 from .rng import GOLDEN, MIX1, MIX2
 from .structures import (
     AccessStructure,
@@ -431,7 +431,7 @@ def compile_mprime(inst: MPrimeInstance, k: int | None = None) -> BooleanCircuit
             prg_out = toy_prg_wires(bd, seeds, k)
             target = com.block(j, crs)
             if (i >> j) & 1:
-                target ^= crs.block(j)
+                target ^= crs.blocks[j]
             block_eqs.append(_equals_const(bd, prg_out, target & block_mask))
         flag = meta.flags_offset + (i - 1)
         x_wires.append(bd.and_(flag, bd.and_all(block_eqs)))
@@ -541,8 +541,8 @@ class CnfMPrimeRelation:
     def in_language(self) -> bool:
         return MPrimeRelation(self.instance).in_language()
 
-    def describe(self) -> dict:
-        return {"type": "mprime-cnf", "instance": self.instance.to_json()}
+    def describe(self) -> bytes:
+        return instance_description("mprime-cnf", self.instance)
 
 
 we.register_relation_loader(

@@ -27,6 +27,7 @@ from .scheme import (
     share_serialize,
 )
 from .structures import AccessStructure, PartySet, check_monotone
+from .we import WeError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
     except MixedDealingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MIXED
-    except (ConfigError, MissingShareError) as exc:
+    except (ConfigError, MissingShareError, WeError) as exc:
         # a member of X without a share file is an input problem
         code = EXIT_IO if isinstance(exc, MissingShareError) else EXIT_CONFIG
         print(f"error: {exc}", file=sys.stderr)

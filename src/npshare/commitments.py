@@ -26,7 +26,7 @@ Two expansion functions are shipped:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import serde
 from .rng import GOLDEN, MIX1, MIX2, Stream
@@ -93,24 +93,37 @@ class CRS:
         if self.bits >> self.total_bits:
             raise ValueError("CRS bits exceed declared length")
 
-    @property
+    @cached_property
     def ell(self) -> int:
         return value_bit_length(self.n)
 
-    @property
+    @cached_property
     def block_bits(self) -> int:
         return 3 * self.k
 
-    @property
+    @cached_property
     def total_bits(self) -> int:
         return self.ell * self.block_bits
 
-    def block(self, j: int) -> int:
-        return (self.bits >> (j * self.block_bits)) & ((1 << self.block_bits) - 1)
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """The ``ell`` CRS blocks, low block first."""
+        mask = (1 << self.block_bits) - 1
+        return tuple((self.bits >> (j * self.block_bits)) & mask for j in range(self.ell))
+
+    @cached_property
+    def prg_table(self) -> tuple[tuple[int, ...], dict] | None:
+        """All 2^k expansion outputs and their preimage map, for k <= 12."""
+        return _prg_table(self.expansion, self.k) if self.k <= 12 else None
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """Canonical JSON of :meth:`to_json`, rendered once per CRS."""
+        return serde.canonical_json_bytes(self.to_json())
 
     def prg(self, seed: int) -> int:
-        if self.k <= 12:
-            return _prg_table(self.expansion, self.k)[0][seed]
+        if self.prg_table is not None:
+            return self.prg_table[0][seed]
         return EXPANSIONS[self.expansion](seed, self.k)
 
     def to_json(self) -> dict:
@@ -123,9 +136,10 @@ class CRS:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CRS":
-        n, k = int(obj["n"]), int(obj["k"])
+        n, k = serde.require(obj, "n", int), serde.require(obj, "k", int)
+        expansion, bits = serde.require(obj, "expansion", str), serde.require(obj, "bits", str)
         nbits = value_bit_length(n) * 3 * k
-        return cls(n=n, k=k, expansion=obj["expansion"], bits=serde.hex_to_int(obj["bits"], nbits))
+        return cls(n=n, k=k, expansion=expansion, bits=serde.hex_to_int(bits, nbits))
 
 
 @dataclass(frozen=True)
@@ -183,7 +197,11 @@ def crs_gen(n: int, k: int, rng: Stream, expansion: str = "splitmix64") -> CRS:
 
 
 def sample_opening(crs: CRS, rng: Stream) -> Opening:
-    return Opening(tuple(rng.bits(crs.k) for _ in range(crs.ell)))
+    """``ell`` k-bit seeds; for k <= 64 each is the one draw ``rng.bits(k)`` makes."""
+    if crs.k > 64:
+        return Opening(tuple([rng.bits(crs.k) for _ in range(crs.ell)]))
+    mask, next64 = (1 << crs.k) - 1, rng.next64
+    return Opening(tuple([next64() & mask for _ in range(crs.ell)]))
 
 
 def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
@@ -192,14 +210,16 @@ def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
         raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
     if len(opening.seeds) != crs.ell:
         raise ValueError(f"opening has {len(opening.seeds)} seeds, expected {crs.ell}")
+    k, width = crs.k, crs.block_bits
+    prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
     bits = 0
-    for j, seed in enumerate(opening.seeds):
-        if seed >> crs.k:
+    for j, (seed, crs_block) in enumerate(zip(opening.seeds, crs.blocks)):
+        if seed >> k:
             raise ValueError("opening seed wider than k bits")
-        block = crs.prg(seed)
+        block = prg(seed)
         if (value >> j) & 1:
-            block ^= crs.block(j)
-        bits |= block << (j * crs.block_bits)
+            block ^= crs_block
+        bits |= block << (j * width)
     return Commitment(bits)
 
 
@@ -226,10 +246,9 @@ def _prg_table(expansion: str, k: int) -> tuple[tuple[int, ...], dict]:
 
 def block_preimage(crs: CRS, target: int) -> int | None:
     """A seed with PRG(seed) == target, or None (exhaustive, k <= 12)."""
-    if crs.k > 12:
+    if crs.prg_table is None:
         raise ValueError("exhaustive block search limited to k <= 12")
-    _, pre = _prg_table(crs.expansion, crs.k)
-    return pre.get(target)
+    return crs.prg_table[1].get(target)
 
 
 def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
@@ -238,12 +257,16 @@ def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
     Sound and complete because blocks are independent: an opening exists
     iff every block's PRG target has a preimage.
     """
+    if crs.prg_table is None:
+        raise ValueError("exhaustive block search limited to k <= 12")
+    pre, width = crs.prg_table[1], crs.block_bits
+    mask = (1 << width) - 1
     seeds = []
-    for j in range(crs.ell):
-        target = com.block(j, crs)
+    for j, crs_block in enumerate(crs.blocks):
+        target = (com.bits >> (j * width)) & mask
         if (value >> j) & 1:
-            target ^= crs.block(j)
-        seed = block_preimage(crs, target)
+            target ^= crs_block
+        seed = pre.get(target)
         if seed is None:
             return None
         seeds.append(seed)
@@ -271,7 +294,7 @@ def supports_disjoint(crs: CRS, v1: int, v2: int, k: int | None = None) -> bool:
     image = set(outs)
     for j in range(crs.ell):
         if ((v1 ^ v2) >> j) & 1:
-            crs_block = crs.block(j)
+            crs_block = crs.blocks[j]
             if all((out ^ crs_block) not in image for out in image):
                 return True
     return False

@@ -47,9 +47,9 @@ from . import serde
 from .commitments import CRS, Commitment, commit, crs_gen, find_opening, sample_opening
 from .induced import MPrimeInstance
 from .rng import Stream, derive_seed
-from .scheme import Dealing, Share, ShareHeader, relation_for, setup, shares_of
+from .scheme import Dealing, Share, ShareHeader, default_expansion, relation_for, setup, shares_of
 from .structures import AccessStructure, PartySet, evaluate
-from .we import leak_message, we_encrypt
+from .we import leak_message, parse_payload, we_encrypt
 
 
 def hoeffding_radius(trials: int, delta: float) -> float:
@@ -89,9 +89,8 @@ class SchemeContext:
     def create(cls, structure: AccessStructure, seed: int, *, k: int = 8,
                backend: str = "idealized", lam: int = 16,
                expansion: str | None = None) -> "SchemeContext":
-        if expansion is None:
-            expansion = "toy" if backend == "cnf" else "splitmix64"
-        crs = crs_gen(structure.n, k, Stream(derive_seed(seed, 0xC125)), expansion=expansion)
+        crs = crs_gen(structure.n, k, Stream(derive_seed(seed, 0xC125)),
+                      expansion=expansion or default_expansion(backend))
         return cls(structure=structure, crs=crs, lam=lam, backend=backend)
 
     @property
@@ -572,8 +571,7 @@ def leak_reader():
 
 def instance_of_ciphertext(ct) -> MPrimeInstance:
     """Recover the public instance embedded in a ciphertext payload."""
-    obj = json.loads(ct.payload)
-    return MPrimeInstance.from_json(obj["relation"]["instance"])
+    return MPrimeInstance.from_json(parse_payload(ct)["relation"]["instance"])
 
 
 def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS | None = None):
@@ -603,7 +601,7 @@ def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS | None = 
             return 0
         b = 1 if leaked == s1 else 0
         if crs is not None:
-            obj = json.loads(ct.payload)
+            obj = parse_payload(ct)
             com_hex = obj["relation"]["instance"]["commitments"][probe_party - 1]
             probe_com = Commitment.from_json(com_hex, crs)
             probe_crs = crs
@@ -642,13 +640,6 @@ def guess_simulator(msg_len: int):
 def transparent_sample_source(value: int, rng: Stream) -> int:
     """Mock per-position source: the sample is the value itself."""
     return value
-
-
-def commitment_sample_source(scheme: SchemeContext):
-    def source(value: int, rng: Stream) -> Commitment:
-        return scheme.fresh_commitment(value, rng)
-
-    return source
 
 
 def position_detector(j: int, gap: float, n: int):

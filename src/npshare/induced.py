@@ -18,6 +18,7 @@ maximal openable set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import serde, we
 from .commitments import (
@@ -26,7 +27,6 @@ from .commitments import (
     Opening,
     find_opening,
     opening_from_json,
-    opening_to_json,
     verify_opening,
 )
 from .structures import AccessStructure, PartySet, inner_witnesses, verify, witness_space_size
@@ -64,8 +64,19 @@ class MPrimeInstance:
             structure=AccessStructure.from_json(obj["structure"]),
         )
 
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """``serde.canonical_json_bytes(self.to_json())``, rendered once, around
+        the CRS's and structure's own pre-rendered bytes (keys in sorted order)."""
+        coms = ",".join(f'"{c.to_json(self.crs)}"' for c in self.commitments)
+        return b"".join((
+            b'{"commitments":[', coms.encode("ascii"),
+            b'],"crs":', self.crs.canonical_bytes,
+            b',"structure":', self.structure.canonical_bytes, b"}",
+        ))
+
     def digest(self) -> str:
-        return serde.digest_of(self.to_json())
+        return serde.sha256_hex(self.canonical_bytes)
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,12 @@ def exhaustive_witness_search(
     return None
 
 
+def instance_description(tag: str, inst: MPrimeInstance) -> bytes:
+    """Canonical JSON of ``{"instance": inst.to_json(), "type": tag}``,
+    spliced around the instance's pre-rendered bytes."""
+    return b'{"instance":' + inst.canonical_bytes + f',"type":"{tag}"}}'.encode("ascii")
+
+
 class MPrimeRelation:
     """Relation wrapper handed to the witness-encryption backends."""
 
@@ -170,24 +187,13 @@ class MPrimeRelation:
             self._in_language = exhaustive_witness_search(self.instance) is not None
         return self._in_language
 
-    def describe(self) -> dict:
-        return {"type": "mprime", "instance": self.instance.to_json()}
+    def describe(self) -> bytes:
+        return instance_description("mprime", self.instance)
 
 
 we.register_relation_loader(
     "mprime", lambda desc: MPrimeRelation(MPrimeInstance.from_json(desc["instance"]))
 )
-
-
-def witness_to_json(wit: MPrimeWitness, crs: CRS) -> dict:
-    """JSON form of a full induced-language witness (CLI/debugging aid)."""
-    inner = wit.inner
-    if inner is not None:
-        inner = [list(e) if isinstance(e, tuple) else e for e in inner]
-    return {
-        "openings": [opening_to_json(o, crs) for o in wit.openings],
-        "inner": inner,
-    }
 
 
 def witness_from_json(obj: dict, crs: CRS) -> MPrimeWitness:

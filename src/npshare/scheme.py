@@ -46,7 +46,11 @@ class ShareHeader:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ShareHeader":
-        return cls(int(obj["n"]), obj["structure_digest"], CRS.from_json(obj["crs"]))
+        n = serde.require(obj, "n", int)
+        crs = CRS.from_json(serde.require(obj, "crs", dict))
+        if crs.n != n:
+            raise ValueError("header n disagrees with its CRS")
+        return cls(n, serde.require(obj, "structure_digest", str), crs)
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,16 @@ class Share:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Share":
-        if obj.get("format") != SHARE_FORMAT:
-            raise ValueError(f"unsupported share format {obj.get('format')!r}")
-        header = ShareHeader.from_json(obj["header"])
+        if serde.require(obj, "format", str) != SHARE_FORMAT:
+            raise ValueError(f"unsupported share format {obj['format']!r}")
+        header = ShareHeader.from_json(serde.require(obj, "header", dict))
+        party = serde.require(obj, "party", int)
+        if not 1 <= party <= header.n:
+            raise ValueError(f"party {party} outside 1..{header.n}")
         return cls(
-            party=int(obj["party"]),
-            opening=Opening.from_json(obj["opening"], header.crs),
-            ciphertext=WECiphertext.from_json(obj["ciphertext"]),
+            party=party,
+            opening=Opening.from_json(serde.require(obj, "opening", str), header.crs),
+            ciphertext=WECiphertext.from_json(serde.require(obj, "ciphertext", dict)),
             header=header,
         )
 
@@ -100,6 +107,11 @@ def relation_for(inst: MPrimeInstance, backend: str):
     return MPrimeRelation(inst)
 
 
+def default_expansion(backend: str) -> str:
+    """The CNF backend needs the circuit-friendly "toy" expansion."""
+    return "toy" if backend == "cnf" else "splitmix64"
+
+
 def setup(
     structure: AccessStructure,
     secret: bytes,
@@ -120,10 +132,8 @@ def setup(
     """
     if not secret:
         raise ValueError("secret must be non-empty")
-    if expansion is None:
-        expansion = "toy" if backend == "cnf" else "splitmix64"
     if crs is None:
-        crs = crs_gen(structure.n, k, rng, expansion=expansion)
+        crs = crs_gen(structure.n, k, rng, expansion=expansion or default_expansion(backend))
     elif crs.n != structure.n:
         raise ValueError("provided CRS is for a different party count")
     openings = [sample_opening(crs, rng) for _ in range(structure.n)]

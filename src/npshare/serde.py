@@ -26,6 +26,22 @@ def digest_of(obj) -> str:
     return sha256_hex(canonical_json_bytes(obj))
 
 
+def require(obj, key: str, kind: type):
+    """``obj[key]``, checked to exist and be a ``kind``; ValueError otherwise.
+
+    Guards parsers of files read from outside the program, so a malformed
+    file surfaces as a ValueError rather than a KeyError or TypeError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def int_to_hex(value: int, nbits: int) -> str:
     """Hex of the little-endian byte encoding of a ``nbits``-bit integer."""
     if value < 0 or (nbits >= 0 and value >> nbits):

@@ -26,6 +26,7 @@ invalidates a witness.  The induced-language search relies on this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from . import serde
@@ -196,8 +197,13 @@ class AccessStructure:
             return cls(kind, n, MonotoneCircuit.from_json(n, obj["payload"]))
         return cls(kind, n, int(obj["payload"]))
 
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """Canonical JSON of :meth:`to_json`, rendered once per structure."""
+        return serde.canonical_json_bytes(self.to_json())
+
     def digest(self) -> str:
-        return serde.digest_of(self.to_json())
+        return serde.sha256_hex(self.canonical_bytes)
 
 
 def threshold_structure(n: int, t: int) -> AccessStructure:

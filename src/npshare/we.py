@@ -25,6 +25,10 @@ A relation object must provide ``instance_digest()`` and ``check(w)``;
 ``leaky`` additionally needs ``in_language()``.  Relations that can be
 rebuilt from JSON advertise a loader tag via ``describe()`` and register
 a loader here, which makes parsed ciphertexts self-contained.
+``describe()`` returns the canonical JSON bytes of an object whose
+``"type"`` names the loader; they are spliced into the payload as they
+are, and the loader receives the object parsed.  Payloads are parsed in
+one place, :func:`parse_payload`.
 """
 
 from __future__ import annotations
@@ -92,11 +96,17 @@ class WECiphertext:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WECiphertext":
+        backend = serde.require(obj, "backend", str)
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        msg_len = serde.require(obj, "msg_len", int)
+        if msg_len < 1:
+            raise ValueError("msg_len must be positive")
         return cls(
-            backend=obj["backend"],
-            instance_digest=obj["instance_digest"],
-            msg_len=int(obj["msg_len"]),
-            payload=bytes.fromhex(obj["payload"]),
+            backend=backend,
+            instance_digest=serde.require(obj, "instance_digest", str),
+            msg_len=msg_len,
+            payload=bytes.fromhex(serde.require(obj, "payload", str)),
         )
 
     def bind(self, relation) -> "WECiphertext":
@@ -106,9 +116,27 @@ class WECiphertext:
         return self
 
 
-def _describe(relation) -> dict:
+def _describe(relation) -> bytes:
     describe = getattr(relation, "describe", None)
-    return describe() if describe is not None else {"type": "opaque"}
+    return describe() if describe is not None else b'{"type":"opaque"}'
+
+
+def _payload(fields: dict, relation_desc: bytes) -> bytes:
+    """Canonical JSON of ``fields`` plus "relation" and "v"; every key of
+    ``fields`` sorts before "relation", so the description is spliced in."""
+    head = serde.canonical_json_bytes(fields)
+    return b"".join((head[:-1], b',"relation":', relation_desc, b',"v":1}'))
+
+
+def parse_payload(ct: WECiphertext) -> dict:
+    """The payload object; CorruptCiphertext unless it is a version-1 payload."""
+    try:
+        obj = json.loads(ct.payload)
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise CorruptCiphertext(f"unparseable payload: {exc}") from exc
+    if not isinstance(obj, dict) or obj.get("v") != 1 or not isinstance(obj.get("relation"), dict):
+        raise CorruptCiphertext("unparseable payload: bad version or relation")
+    return obj
 
 
 def _load_relation(ct: WECiphertext, desc: dict):
@@ -119,7 +147,10 @@ def _load_relation(ct: WECiphertext, desc: dict):
         raise UnboundRelation(
             f"no loader for relation type {desc.get('type')!r}; bind() a relation first"
         )
-    relation = loader(desc)
+    try:
+        relation = loader(desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCiphertext(f"embedded relation does not load: {exc!r}") from exc
     if relation.instance_digest() != ct.instance_digest:
         raise CorruptCiphertext("embedded relation disagrees with the instance digest")
     return relation
@@ -142,18 +173,14 @@ def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) ->
             body = {"plain": None, "noise": rng.bytes(len(message)).hex()}
         else:
             body = {"plain": message.hex(), "noise": None}
-        payload = serde.canonical_json_bytes(
-            {"v": 1, "relation": desc, "nonce": nonce.hex(), **body}
-        )
+        payload = _payload({"nonce": nonce.hex(), **body}, desc)
     else:
         key = rng.bytes(max(8, (lam + 7) // 8))
-        payload = serde.canonical_json_bytes({
-            "v": 1,
-            "relation": desc,
+        payload = _payload({
             "key": key.hex(),
             "body": _keystream_xor(key, message).hex(),
             "check": f"{checksum64(message):016x}",
-        })
+        }, desc)
     return WECiphertext(
         backend=backend,
         instance_digest=relation.instance_digest(),
@@ -165,13 +192,8 @@ def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) ->
 
 def we_decrypt(ct: WECiphertext, witness) -> bytes | None:
     """The message if the witness satisfies the bound instance, else None."""
-    try:
-        obj = json.loads(ct.payload)
-        if obj.get("v") != 1:
-            raise ValueError("bad version")
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CorruptCiphertext(f"unparseable payload: {exc}") from exc
-    relation = _load_relation(ct, obj.get("relation", {}))
+    obj = parse_payload(ct)
+    relation = _load_relation(ct, obj["relation"])
     if not relation.check(witness):
         return None
     try:
@@ -204,8 +226,7 @@ def leak_message(ct: WECiphertext) -> bytes | None:
     if ct.backend != "leaky":
         return None
     try:
-        obj = json.loads(ct.payload)
-        plain = obj.get("plain")
+        plain = parse_payload(ct).get("plain")
         return None if plain is None else bytes.fromhex(plain)
-    except (ValueError, UnicodeDecodeError):
+    except (CorruptCiphertext, TypeError, ValueError):
         return None

@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,65 @@ def test_experiment_hybrid_game(workdir):
     assert run("experiment", "--config", workdir / "hyb.json", "--out", out) == EXIT_OK
     report = json.loads(out.read_text())
     assert report["index"] == 6
+
+
+def _drop_header(share):
+    del share["header"]
+    return share
+
+
+def _drop_msg_len(share):
+    del share["ciphertext"]["msg_len"]
+    return share
+
+
+def _party_out_of_range(share):
+    share["party"] = 9
+    return share
+
+
+def _garbage_payload(share):
+    share["ciphertext"]["payload"] = b"not json".hex()
+    return share
+
+
+def _relation_without_instance(share):
+    payload = {"v": 1, "relation": {"type": "mprime", "instance": {}}}
+    share["ciphertext"]["payload"] = json.dumps(payload).encode().hex()
+    return share
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_header, _drop_msg_len, _party_out_of_range, lambda share: [share],
+    _garbage_payload, _relation_without_instance,
+], ids=["no-header", "no-msg-len", "party-9-of-3", "json-array", "garbage-payload",
+        "relation-without-instance"])
+def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
+    out = workdir / "deal"
+    run("deal", "--config", workdir / "cfg.json",
+        "--secret", workdir / "secret.bin", "--out", out)
+    bad = workdir / "bad_share.json"
+    bad.write_text(json.dumps(mutate(json.loads((out / "share_1.json").read_text()))))
+    code = run("recon", "--parties", "1", bad)
+    assert code == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_experiment_report_identical_across_processes(tmp_path):
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 3, "payload": 2},
+        "backend": "leaky", "game": "dprime", "runs": 3, "epsilon": 0.5,
+    }))
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    reports = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "npshare.cli", "--seed", "7", "experiment",
+             "--config", str(tmp_path / "exp.json")],
+            capture_output=True, env=env, timeout=300, check=True,
+        )
+        reports.append(proc.stdout)
+    assert json.loads(reports[0])["game"] == "dprime"
+    assert reports[0] == reports[1]

@@ -103,7 +103,7 @@ def test_bit_rules():
     for j in range(crs.ell):
         block = com.block(j, crs)
         if (4 >> j) & 1:
-            assert block ^ crs.block(j) == crs.prg(op.seeds[j])
+            assert block ^ crs.blocks[j] == crs.prg(op.seeds[j])
         else:
             assert block == crs.prg(op.seeds[j])
 
@@ -172,10 +172,61 @@ def test_supports_disjoint_against_pair_enumeration():
                 collidable = True
                 for j in range(crs.ell):
                     if ((v1 ^ v2) >> j) & 1:
-                        blk = crs.block(j)
+                        blk = crs.blocks[j]
                         if not any(a ^ blk == b for a in outs for b in outs):
                             collidable = False
                 assert supports_disjoint(crs, v1, v2) == (not collidable)
+
+
+def reference_commit_bits(value, opening, crs, prg):
+    """commit() written per bit from the definition: block j is
+    PRG(seed_j) XOR (bit_j(value) * crs_block_j)."""
+    width = 3 * crs.k
+    bits = 0
+    for j, seed in enumerate(opening.seeds):
+        crs_block = (crs.bits >> (j * width)) & ((1 << width) - 1)
+        block = prg(seed, crs.k) ^ (crs_block if (value >> j) & 1 else 0)
+        bits |= block << (j * width)
+    return bits
+
+
+def reference_find_opening(value, com, crs, prg):
+    """Per block, the smallest seed whose PRG output hits the target."""
+    width = 3 * crs.k
+    first = {}
+    for seed in range(1 << crs.k):
+        first.setdefault(prg(seed, crs.k), seed)
+    seeds = []
+    for j in range(crs.ell):
+        target = (com.bits >> (j * width)) & ((1 << width) - 1)
+        if (value >> j) & 1:
+            target ^= (crs.bits >> (j * width)) & ((1 << width) - 1)
+        if target not in first:
+            return None
+        seeds.append(first[target])
+    return Opening(tuple(seeds))
+
+
+@pytest.mark.parametrize("expansion, prg", [("splitmix64", prg_splitmix64), ("toy", prg_toy)])
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_commit_and_find_opening_match_per_bit_reference(k, expansion, prg):
+    crs = crs_gen(5, k, Stream(k), expansion=expansion)
+    rng = Stream(100 + k)
+    for value in range(1, 2 * crs.n + 1):
+        op = sample_opening(crs, rng)
+        com = commit(value, op, crs)
+        assert com.bits == reference_commit_bits(value, op, crs, prg)
+        for probe in (value, value % (2 * crs.n) + 1):
+            assert find_opening(probe, com, crs) == reference_find_opening(probe, com, crs, prg)
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 64, 80])
+def test_sample_opening_draws_like_stream_bits(k):
+    crs = crs_gen(5, k, Stream(3))
+    fast, reference = Stream(77), Stream(77)
+    opening = sample_opening(crs, fast)
+    assert opening.seeds == tuple(reference.bits(k) for _ in range(crs.ell))
+    assert fast.state == reference.state
 
 
 def test_find_opening_inverts_commit():

@@ -1,7 +1,10 @@
 """The induced commitment-vector language and its exhaustive search."""
 
+import json
+
 import pytest
 
+from npshare import serde
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import (
     MPrimeInstance,
@@ -14,6 +17,7 @@ from npshare.induced import (
     openable_positions,
 )
 from npshare.rng import Stream
+from npshare.scheme import default_expansion, relation_for
 from npshare.structures import (
     MonotoneCircuit,
     PartySet,
@@ -23,6 +27,7 @@ from npshare.structures import (
     threshold_structure,
     verify,
 )
+from npshare.we import we_encrypt
 
 
 def honest_instance(structure, seed, k=8, expansion="splitmix64"):
@@ -181,3 +186,18 @@ def test_instance_json_round_trip():
     again = MPrimeInstance.from_json(inst.to_json())
     assert again == inst
     assert again.digest() == inst.digest()
+
+
+@pytest.mark.parametrize("backend, in_language", [
+    ("idealized", True), ("leaky", True), ("leaky", False), ("cnf", True),
+])
+def test_spliced_bytes_equal_canonical_json(backend, in_language):
+    structure = threshold_structure(3, 2)
+    X = PartySet.full(3) if in_language else PartySet.empty(3)
+    inst, _ = substituted_instance(structure, X, 90, expansion=default_expansion(backend))
+    assert inst.digest() == serde.digest_of(inst.to_json())
+    relation = relation_for(inst, backend)
+    assert relation.in_language() is in_language
+    ct = we_encrypt(backend, 16, relation, b"spliced", Stream(91))
+    assert ct.payload == serde.canonical_json_bytes(json.loads(ct.payload))
+    assert json.loads(ct.payload)["relation"]["instance"] == inst.to_json()
