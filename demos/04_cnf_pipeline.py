@@ -10,7 +10,7 @@ satisfying assignments.  Witnesses map constructively both ways.
 """
 
 from npshare import PartySet, Stream, edge_index, hamiltonian_structure, recon, setup, shares_of
-from npshare.circuits import compile_mprime, decode_witness, extend_assignment, lift_witness
+from npshare.circuits import compile_mprime, decode_witness, eval_wires, lift_witness
 from npshare.cnf import dimacs, tseitin
 from npshare.induced import exhaustive_witness_search
 from npshare.sat import solve_cnf
@@ -37,7 +37,7 @@ print("decoded SAT witness opens parties:",
 
 print()
 print("=== witnesses lift constructively (the Levin direction) ===")
-lifted = extend_assignment(circuit, lift_witness(circuit, native))
+lifted = eval_wires(circuit, lift_witness(circuit, native))
 print("lifted native witness satisfies the CNF:",
       all(any((lit > 0) == lifted[abs(lit) - 1] for lit in cl) for cl in cnf.clauses))
 

@@ -6,11 +6,13 @@ position (the flag encodes the absent opening: the characteristic bit is
 ``flag AND commitment-match``), and the inner-witness bits.  Commitment
 checks are realized as a bit-level PRG-expansion sub-circuit compared
 against the instance's constant commitment bits, with the CRS and value
-bits folded into the comparison constants.  The structure predicate is
-then evaluated over the characteristic wires: a popcount comparator for
-thresholds, a direct embedding for monotone circuits, permutation-matrix
-constraints for Hamiltonian cycles and an exactly-once cover for
-matchings.
+bits folded into the comparison constants.  The PRG sub-circuit is built
+once per k as a template and stamped per (party, block) with its wires
+renamed; the gate list and its numbering are those of building each copy
+gate by gate.  The structure predicate is then evaluated over the
+characteristic wires: a popcount comparator for thresholds, a direct
+embedding for monotone circuits, permutation-matrix constraints for
+Hamiltonian cycles and an exactly-once cover for matchings.
 
 Only the "toy" expansion compiles (three k-bit mix rounds; the 64-bit
 default would be needlessly large at desk scale), so instances headed
@@ -26,6 +28,7 @@ non-deterministic circuit model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .commitments import Opening
@@ -155,6 +158,25 @@ class Builder:
             out = self.or_(out, item)
         return out
 
+    def stamp(self, gates, outputs, inputs) -> list:
+        """Append a copy of ``gates``, built on a fresh ``Builder(len(inputs))``
+        with output wires ``outputs``, over ``inputs``, which no gate may read
+        yet; returns the copy's outputs.  The copy is numbered, folded and
+        deduplicated exactly as if it had been built here gate by gate."""
+        base = self.n_inputs + len(self.gates)
+        wire = list(inputs) + list(range(base, base + len(gates)))
+        for w, gate in enumerate(gates, base):
+            if gate[0] == "not":
+                a = wire[gate[1]]
+                self.gates.append(("not", a))
+                self._cache["not", a, None] = w
+                self._neg[a], self._neg[w] = w, a
+            else:
+                gate = (gate[0], wire[gate[1]], wire[gate[2]])
+                self.gates.append(gate)
+                self._cache[gate] = w
+        return [w if isinstance(w, bool) else wire[w] for w in outputs]
+
     def finish(self, output, meta: CompileMeta | None = None) -> BooleanCircuit:
         return BooleanCircuit(self.n_inputs, self.gates, output, meta)
 
@@ -230,6 +252,14 @@ def toy_prg_wires(bd: Builder, seed_bits, k: int):
         z = _xorshift(bd, z, s2, k)
         out.extend(z)
     return out
+
+
+@functools.lru_cache(maxsize=5)  # 4 <= k <= COMPILE_MAX_K
+def _prg_template(k: int) -> tuple[tuple, tuple]:
+    """The gates and output wires of ``toy_prg_wires`` over seed wires 0..k-1."""
+    bd = Builder(k)
+    outs = toy_prg_wires(bd, list(range(k)), k)
+    return tuple(bd.gates), tuple(outs)
 
 
 def _equals_const(bd: Builder, wires, target: int):
@@ -422,13 +452,14 @@ def compile_mprime(inst: MPrimeInstance, k: int | None = None) -> BooleanCircuit
     bd = Builder(meta.inner_offset + inner_len)
 
     block_mask = (1 << crs.block_bits) - 1
+    prg_gates, prg_outs = _prg_template(k)
     x_wires = []
     for i in range(1, n + 1):
         com = inst.commitments[i - 1]
         block_eqs = []
         for j in range(ell):
-            seeds = [meta.seed_offset(i, j) + bit for bit in range(k)]
-            prg_out = toy_prg_wires(bd, seeds, k)
+            offset = meta.seed_offset(i, j)
+            prg_out = bd.stamp(prg_gates, prg_outs, range(offset, offset + k))
             target = com.block(j, crs)
             if (i >> j) & 1:
                 target ^= crs.blocks[j]
@@ -468,11 +499,6 @@ def lift_witness(circuit: BooleanCircuit, wit: MPrimeWitness) -> list[bool]:
     return inputs
 
 
-def extend_assignment(circuit: BooleanCircuit, inputs) -> list[bool]:
-    """Circuit inputs extend uniquely to all Tseitin variables."""
-    return eval_wires(circuit, inputs)
-
-
 def decode_witness(circuit: BooleanCircuit, assignment) -> MPrimeWitness:
     """Inverse of the lifting map (gate variables ignored)."""
     meta = circuit.meta
@@ -504,20 +530,23 @@ class CnfMPrimeRelation:
     ``check`` also accepts a plain induced-language witness and lifts it
     through the witness-extension map, so the scheme's RECON flow is
     backend-agnostic.  The backend never searches; it only verifies.
+    The CNF is built on the first ``check``, so dealing never builds it.
     """
 
-    def __init__(self, instance: MPrimeInstance, circuit: BooleanCircuit, cnf):
+    def __init__(self, instance: MPrimeInstance, circuit: BooleanCircuit):
         self.instance = instance
         self.circuit = circuit
-        self.cnf = cnf
         self._digest = instance.digest()
 
     @classmethod
     def compile(cls, instance: MPrimeInstance) -> "CnfMPrimeRelation":
+        return cls(instance, compile_mprime(instance))
+
+    @functools.cached_property
+    def cnf(self):
         from .cnf import tseitin
 
-        circuit = compile_mprime(instance)
-        return cls(instance, circuit, tseitin(circuit))
+        return tseitin(self.circuit)
 
     def instance_digest(self) -> str:
         return self._digest
@@ -528,7 +557,7 @@ class CnfMPrimeRelation:
         if isinstance(witness, MPrimeWitness):
             if len(witness.openings) != self.instance.n:
                 return False
-            witness = extend_assignment(self.circuit, lift_witness(self.circuit, witness))
+            witness = eval_wires(self.circuit, lift_witness(self.circuit, witness))
         else:
             try:
                 witness = [bool(b) for b in witness]

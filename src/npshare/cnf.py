@@ -5,11 +5,16 @@ variable w+1, inputs first, one fresh variable per gate, plus a unit
 clause asserting the output.  Clause counts per gate: AND/OR 3, NOT 2,
 XOR 4.  Satisfying assignments therefore project onto exactly the
 circuit's satisfying inputs.
+
+Every :class:`CNF` is validated when it is built: C-level scans over the
+clauses and their literals, and only when they find a fault the per-clause
+loop that names the first offender.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .circuits import BooleanCircuit
 
@@ -20,6 +25,12 @@ class CNF:
     clauses: list[tuple[int, ...]]
 
     def __post_init__(self):
+        # Streaming passes: a set of the literals would add ~2 MB of peak
+        # memory on a 45k-clause formula.
+        n, clauses, lits = self.num_vars, self.clauses, chain.from_iterable
+        if (all(clauses) and 0 not in lits(clauses)
+                and -n <= min(lits(clauses), default=0) and max(lits(clauses), default=0) <= n):
+            return
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
@@ -65,15 +76,11 @@ def tseitin(circuit: BooleanCircuit) -> CNF:
 
 def check_assignment(cnf: CNF, assignment) -> bool:
     """True iff the boolean vector (var v at index v-1) satisfies the CNF."""
-    if len(assignment) < cnf.num_vars:
+    n = cnf.num_vars
+    if len(assignment) < n:
         return False
-    for clause in cnf.clauses:
-        for lit in clause:
-            if bool(assignment[abs(lit) - 1]) == (lit > 0):
-                break
-        else:
-            return False
-    return True
+    true = {v if a else -v for v, a in zip(range(1, n + 1), assignment)}
+    return not any(map(true.isdisjoint, cnf.clauses))
 
 
 def dimacs(cnf: CNF) -> str:

@@ -39,6 +39,7 @@ conditions in the game definitions are decided by exhaustive search
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,17 +57,10 @@ def hoeffding_radius(trials: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
 
 
-_qualified_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=1 << 15)  # every subset at evaluate's n <= 15 limit
 def qualified(structure: AccessStructure, X: PartySet) -> bool:
     """Ground-truth M(X), decided exhaustively and cached."""
-    key = (structure, X.members)
-    hit = _qualified_cache.get(key)
-    if hit is None:
-        hit = evaluate(structure, X, expensive=True)
-        _qualified_cache[key] = hit
-    return hit
+    return evaluate(structure, X, expensive=True)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from npshare.circuits import (
     encode_inner,
     eval_circuit,
     eval_wires,
-    extend_assignment,
     inner_witness_width,
     lift_witness,
     toy_prg_wires,
@@ -49,6 +48,54 @@ def test_toy_prg_circuit_matches_all_seeds(k):
             bit = w if isinstance(w, bool) else wires[w]
             got |= int(bit) << j
         assert got == prg_toy(seed, k), f"seed {seed}"
+
+
+# The share_cnf benchmark's circuit: (x1 & x2 & w) | (x3 & x4 & x5 & ~w).
+CIRCUIT5 = circuit_structure(
+    MonotoneCircuit(
+        n_std=5, n_free=1,
+        gates=(("not", 5), ("and", 0, 1), ("and", 7, 5), ("and", 2, 3),
+               ("and", 9, 4), ("and", 10, 6), ("or", 8, 11)),
+        output=12,
+    )
+)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 8])
+@pytest.mark.parametrize(
+    "structure",
+    [threshold_structure(6, 2), CIRCUIT5, hamiltonian_structure(4),
+     hamiltonian_structure(5), matching_structure(4)],
+    ids=lambda s: f"{s.kind}{s.n}",
+)
+def test_stamped_prg_copies_equal_gate_by_gate_build(structure, k, monkeypatch):
+    inst, _ = toy_instance(structure, 900 + 10 * k + structure.n, k=k)
+    stamped = compile_mprime(inst)
+    # reference: every PRG copy built on the compile builder by toy_prg_wires
+    monkeypatch.setattr(
+        Builder, "stamp",
+        lambda bd, gates, outputs, inputs: toy_prg_wires(bd, list(inputs), k),
+    )
+    built = compile_mprime(inst)
+    assert stamped.n_inputs == built.n_inputs
+    assert stamped.gates == built.gates
+    assert stamped.output == built.output
+    assert stamped.meta.x_wires == built.meta.x_wires
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_stamp_leaves_builder_as_gate_by_gate_build(k):
+    template = Builder(k)
+    outs = toy_prg_wires(template, list(range(k)), k)
+    stamped, built = Builder(3 * k), Builder(3 * k)
+    for bd in (stamped, built):
+        bd.not_(bd.and_(0, 1))  # gates before the copies
+    for copy in (1, 2):
+        inputs = range(copy * k, (copy + 1) * k)
+        assert stamped.stamp(template.gates, outs, inputs) == toy_prg_wires(built, list(inputs), k)
+    assert stamped.gates == built.gates
+    assert stamped._cache == built._cache
+    assert stamped._neg == built._neg
 
 
 def test_builder_constant_folding():
@@ -140,7 +187,7 @@ def test_witness_lift_round_trip():
     assert again == wit
     # the input assignment extends uniquely to a satisfying CNF assignment
     cnf = tseitin(circuit)
-    assignment = extend_assignment(circuit, inputs)
+    assignment = eval_wires(circuit, inputs)
     assert check_assignment(cnf, assignment)
 
 
@@ -151,8 +198,8 @@ def test_lifted_witness_satisfies_cnf_iff_valid():
     cnf = tseitin(circuit)
     good = MPrimeWitness(openings=(openings[0], openings[1], None), inner=None)
     bad = MPrimeWitness(openings=(openings[0], None, None), inner=None)
-    assert check_assignment(cnf, extend_assignment(circuit, lift_witness(circuit, good)))
-    assert not check_assignment(cnf, extend_assignment(circuit, lift_witness(circuit, bad)))
+    assert check_assignment(cnf, eval_wires(circuit, lift_witness(circuit, good)))
+    assert not check_assignment(cnf, eval_wires(circuit, lift_witness(circuit, bad)))
 
 
 def test_cnf_relation_accepts_both_witness_forms():
@@ -161,7 +208,7 @@ def test_cnf_relation_accepts_both_witness_forms():
     rel = CnfMPrimeRelation.compile(inst)
     wit = MPrimeWitness(openings=(openings[0], openings[1], None), inner=None)
     assert rel.check(wit) is True
-    assignment = extend_assignment(rel.circuit, lift_witness(rel.circuit, wit))
+    assignment = eval_wires(rel.circuit, lift_witness(rel.circuit, wit))
     assert rel.check(assignment) is True
     assert rel.check(assignment[:-5]) is False  # length mismatch -> invalid
     assert rel.check("garbage") is False

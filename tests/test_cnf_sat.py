@@ -82,6 +82,62 @@ def test_tseitin_models_project_to_circuit_inputs():
             assert projected == accepted
 
 
+def per_clause_fault(num_vars, clauses):
+    """The first fault the per-clause validation loop reports, or None."""
+    for clause in clauses:
+        if not clause:
+            return "empty clause"
+        if any(lit == 0 or abs(lit) > num_vars for lit in clause):
+            return "literal out of range"
+    return None
+
+
+@pytest.mark.parametrize(
+    "clauses",
+    [
+        [(1,), ()],
+        [(1, -2), (3, 0)],
+        [(1,), (4,)],
+        [(-4, 1)],
+        [(1,), (2, 5), ()],   # out of range before an empty clause
+        [(), (2, 5)],         # empty clause before an out-of-range literal
+    ],
+)
+def test_cnf_validation_names_first_fault(clauses):
+    fault = per_clause_fault(3, clauses)
+    assert fault is not None
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        CNF(3, clauses)
+
+
+def test_cnf_validation_accepts_in_range_formulas():
+    for num_vars, clauses in ((3, [(1, -3), (-1, 2, 3)]), (3, []), (0, []), (1, [(1,), (-1,)])):
+        assert per_clause_fault(num_vars, clauses) is None
+        assert CNF(num_vars, clauses).clauses == clauses
+
+
+def per_literal_check(cnf, assignment):
+    if len(assignment) < cnf.num_vars:
+        return False
+    return all(
+        any(bool(assignment[abs(lit) - 1]) == (lit > 0) for lit in clause)
+        for clause in cnf.clauses
+    )
+
+
+def test_check_assignment_matches_per_literal_reference():
+    outcomes = set()
+    for trial in range(300):
+        rng = Stream(derive_seed(0xC4EC, trial))
+        cnf = random_cnf(rng, 1 + rng.randrange(6), rng.randrange(6))
+        bits = [rng.bit() for _ in range(cnf.num_vars + rng.randrange(3))]
+        for assignment in (bits, [bool(b) for b in bits], bits[:-1], tuple(bits)):
+            got = check_assignment(cnf, assignment)
+            assert got == per_literal_check(cnf, assignment), (trial, assignment)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_sat_brute_force_examples():
     sat = sat_brute_force(CNF(2, [(1, 2), (-1,)]))
     assert sat is not None and sat[0] is False and sat[1] is True

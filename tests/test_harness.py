@@ -37,7 +37,7 @@ from npshare.harness import (
 from npshare.commitments import find_opening
 from npshare.rng import Stream, derive_seed
 from npshare.scheme import setup, shares_of
-from npshare.structures import PartySet, hamiltonian_structure, threshold_structure
+from npshare.structures import PartySet, evaluate, hamiltonian_structure, threshold_structure
 from npshare.we import leak_message
 
 S0, S1 = b"AAAA", b"BBBB"
@@ -284,6 +284,15 @@ def test_bad_event_rarity_with_zero_bias_plant():
                     for _ in range(8))  # ceil(n/eps) outer iterations
         bad_runs += fired  # bias is 0 <= eps/10, so any firing is BAD
     assert bad_runs <= 5
+
+
+def test_qualified_agrees_with_evaluate_and_cache_is_bounded():
+    assert qualified.cache_info().maxsize is not None
+    for structure in (threshold_structure(4, 2), hamiltonian_structure(4)):
+        for packed in range(1 << structure.n):
+            X = PartySet.from_bits([(packed >> i) & 1 for i in range(structure.n)])
+            assert qualified(structure, X) == evaluate(structure, X, expensive=True)
+            assert qualified(structure, X) == evaluate(structure, X, expensive=True)  # cached
 
 
 def test_ind_game_constant_d_zero_advantage(leaky6):

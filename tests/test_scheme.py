@@ -68,6 +68,23 @@ def test_recon_matching_cnf_backend():
     assert recon(shares_of(dealing, single), single, ((1, 2),)) is None
 
 
+def test_cnf_backend_runs_tseitin_only_to_check(monkeypatch):
+    from npshare import cnf
+
+    calls = []
+    real = cnf.tseitin
+    monkeypatch.setattr(cnf, "tseitin", lambda circuit: calls.append(circuit) or real(circuit))
+    mt = matching_structure(4)
+    dealing = setup(mt, b"lazy", Stream(5), backend="cnf")
+    assert calls == []
+    X = PartySet.of(6, {edge_index(4, 1, 2), edge_index(4, 3, 4)})
+    assert recon(shares_of(dealing, X), X, ((1, 2), (3, 4))) == b"lazy"
+    assert len(calls) == 1
+    parsed = [share_parse(share_serialize(s)) for s in shares_of(dealing, X)]
+    assert recon(parsed, X, ((1, 2), (3, 4))) == b"lazy"
+    assert len(calls) == 2   # the parsed relation is compiled afresh
+
+
 def test_unqualified_rejection_sweep():
     structure = threshold_structure(5, 3)
     dealing = setup(structure, b"S", Stream(5))
