@@ -22,7 +22,7 @@ from npshare import PartySet, Stream, derive_seed, threshold_structure
 from npshare.harness import (
     SchemeContext,
     bias_estimate,
-    dprime,
+    dprime_gap,
     ind_game,
     leak_reader,
     mest,
@@ -45,7 +45,7 @@ s0, s1 = b"AAAA", b"BBBB"
 for label, members in (("unqualified {1}", {1}), ("qualified {1,2,3}", {1, 2, 3})):
     X = PartySet.of(6, members)
     est = bias_estimate(s0, s1, X, ctx, D, trials=400, master_seed=2)
-    print(f"bias for {label:18}: {est.value:.3f} (+-{est.radius:.3f})")
+    print(f"bias for {label:18}: {est.advantage:.3f} (+-{est.radius:.3f})")
 
 print()
 print("=== step 2: mest notices the bias without ever deciding M(X) ===")
@@ -59,16 +59,8 @@ for label, members in (("unqualified {1}", {1}), ("qualified {1,2,3}", {1, 2, 3}
 print()
 print("=== step 3: D' distinguishes the two commitment worlds ===")
 runs = 40
-a0 = sum(
-    dprime(ctx.a0_commitments(Stream(derive_seed(4, t))), 0.3, 6, sampler, D, ctx,
-           Stream(derive_seed(5, t)))
-    for t in range(runs)
-)
-a1 = sum(
-    dprime(ctx.a1_commitments(Stream(derive_seed(6, t))), 0.3, 6, sampler, D, ctx,
-           Stream(derive_seed(7, t)))
-    for t in range(runs)
-)
+a0, a1 = dprime_gap(ctx, 0.3, sampler, D, runs,
+                    lambda t: tuple(derive_seed(lane, t) for lane in (4, 5, 6, 7)))
 print(f"Pr[D'=1 | Z=A0] ~ {a0 / runs:.2f}")
 print(f"Pr[D'=1 | Z=A1] ~ {a1 / runs:.2f}")
 print(f"gap ~ {abs(a0 - a1) / runs:.2f}  (the target bound is eps/10 = 0.03)")

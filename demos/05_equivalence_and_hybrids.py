@@ -23,18 +23,13 @@ from npshare.harness import (
     position_detector,
     sem_game,
     sem_to_ind,
+    sem_view,
     transparent_sample_source,
 )
 
 structure = threshold_structure(6, 2)
 ctx = SchemeContext.create(structure, seed=17, backend="leaky")
-sampler_ind = mixed_sampler(structure, 0.3, 1)
-
-
-def sampler_sem(rng):
-    s, _, X, sigma = sampler_ind(rng)
-    return s, X, sigma
-
+sampler_sem = sem_view(mixed_sampler(structure, 0.3, 1))
 
 print("=== unlearnability -> indistinguishability ===")
 identity = lambda s: s
@@ -63,7 +58,7 @@ print()
 print("=== hybrid locator: from a list gap to a pairwise gap ===")
 n, planted_position, planted_gap = 8, 3, 0.8
 loc = hybrid_locate(position_detector(planted_position, planted_gap, n), n,
-                    planted_gap, trials=400, master_seed=103,
+                    trials=400, master_seed=103,
                     sample_source=transparent_sample_source)
 print(f"planted a detector at position {planted_position} with gap {planted_gap}")
 print(f"located hybrid index {loc.index} "

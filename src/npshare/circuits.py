@@ -67,10 +67,6 @@ class BooleanCircuit:
     output: "int | bool"
     meta: CompileMeta | None = field(default=None, repr=False)
 
-    @property
-    def n_wires(self) -> int:
-        return self.n_inputs + len(self.gates)
-
     def to_json(self) -> dict:
         return {
             "inputs": self.n_inputs,

@@ -184,7 +184,7 @@ def _experiment_context(config, seed) -> tuple:
         distinguisher = harness.shape_distinguisher()
     else:
         raise ConfigError(f"unknown distinguisher {dname!r}")
-    return ctx, structure, sampler, distinguisher, secret_len
+    return ctx, sampler, distinguisher, secret_len
 
 
 def _run_experiment(config, seed) -> dict:
@@ -195,34 +195,23 @@ def _run_experiment(config, seed) -> dict:
     delta = float(config.get("delta", 0.01))
     eps = float(config.get("epsilon", 0.3))
     if game == "ind":
-        ctx, _, sampler, D, _ = _experiment_context(config, seed)
+        ctx, sampler, D, _ = _experiment_context(config, seed)
         report = harness.ind_game(ctx, sampler, D, trials, master_seed=seed, delta=delta)
         return report.to_json()
     if game == "sem":
-        ctx, _, sampler, _, secret_len = _experiment_context(config, seed)
-
-        def sem_sampler(rng):
-            s0, _, X, sigma = sampler(rng)
-            return s0, X, sigma
-
+        ctx, sampler, _, secret_len = _experiment_context(config, seed)
         report = harness.sem_game(
-            ctx, sem_sampler, harness.leak_learner(),
+            ctx, harness.sem_view(sampler), harness.leak_learner(),
             harness.guess_simulator(secret_len), lambda s: s,
             trials, master_seed=seed, delta=delta,
         )
         return report.to_json()
     if game == "dprime":
-        ctx, structure, sampler, D, _ = _experiment_context(config, seed)
+        ctx, sampler, D, _ = _experiment_context(config, seed)
         runs = int(config.get("runs", 50))
-        n = structure.n
-        c0 = c1 = 0
-        for t in range(runs):
-            c0 += harness.dprime(
-                ctx.a0_commitments(Stream(derive_seed(seed, 2 * t))),
-                eps, n, sampler, D, ctx, Stream(derive_seed(seed, 4_000_000 + t)))
-            c1 += harness.dprime(
-                ctx.a1_commitments(Stream(derive_seed(seed, 2 * t + 1))),
-                eps, n, sampler, D, ctx, Stream(derive_seed(seed, 5_000_000 + t)))
+        c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs, lambda t: (
+            derive_seed(seed, 2 * t), derive_seed(seed, 4_000_000 + t),
+            derive_seed(seed, 2 * t + 1), derive_seed(seed, 5_000_000 + t)))
         return {
             "game": "dprime", "runs": runs, "epsilon": eps, "master_seed": seed,
             "accept_a0": c0 / runs, "accept_a1": c1 / runs,
@@ -233,19 +222,15 @@ def _run_experiment(config, seed) -> dict:
         position = int(config.get("planted_position", 3))
         gap = float(config.get("planted_gap", 0.8))
         loc = harness.hybrid_locate(
-            harness.position_detector(position, gap, n), n, eps, trials,
+            harness.position_detector(position, gap, n), n, trials,
             master_seed=seed, sample_source=harness.transparent_sample_source,
             delta=delta,
         )
         return loc.to_json()
     if game == "equiv":
-        ctx, structure, sampler, _, secret_len = _experiment_context(config, seed)
-
-        def sem_sampler(rng):
-            s0, _, X, sigma = sampler(rng)
-            return s0, X, sigma
-
-        samp2, d2 = harness.sem_to_ind(sem_sampler, harness.leak_learner(), lambda s: s)
+        ctx, sampler, _, secret_len = _experiment_context(config, seed)
+        samp2, d2 = harness.sem_to_ind(harness.sem_view(sampler), harness.leak_learner(),
+                                       lambda s: s)
         ind_report = harness.ind_game(ctx, samp2, d2, trials, master_seed=seed, delta=delta)
         t_bits = 8 * secret_len
         transformed = harness.ind_to_sem(sampler, harness.leak_reader(), t_bits,

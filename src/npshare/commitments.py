@@ -273,7 +273,7 @@ def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
     return Opening(tuple(seeds))
 
 
-def supports_disjoint(crs: CRS, v1: int, v2: int, k: int | None = None) -> bool:
+def supports_disjoint(crs: CRS, v1: int, v2: int) -> bool:
     """True iff no opening pair makes commit(v1) collide with commit(v2).
 
     Checked per differing bit position: the supports of block j are
@@ -281,8 +281,6 @@ def supports_disjoint(crs: CRS, v1: int, v2: int, k: int | None = None) -> bool:
     collide if *every* differing block admits a collision.  Equal values
     trivially share their own support, so the answer there is False.
     """
-    if k is not None and k != crs.k:
-        raise ValueError("k disagrees with the CRS")
     if crs.k > 12:
         raise ValueError("exhaustive support check limited to k <= 12")
     for v in (v1, v2):

@@ -14,8 +14,10 @@ seeded Monte-Carlo procedures:
 * :func:`dprime` - the outer distinguisher: up to ceil(n/eps) rounds of
   (sample, mest), answering with dver's verdict on the first round where
   mest fires, and 0 otherwise.
+* :func:`dprime_gap` - the reduction end to end: D' on A0 lists and on
+  A1 lists over many runs, each run on its caller's seed lanes.
 * :func:`bias_estimate` - the bias functional dver maximizes, estimated
-  directly.
+  directly (a :class:`GameReport` with game ``"bias"``).
 * :func:`hybrid_locate` - the hybrid-argument lemma as an index locator
   over an abstract per-position sample source.
 * :func:`sem_to_ind` / :func:`ind_to_sem` - the definition-equivalence
@@ -24,7 +26,8 @@ seeded Monte-Carlo procedures:
 Samplers and distinguishers are plain callables:
 
 * ind-sampler: ``rng -> (s0, s1, X, sigma)`` with |s0| = |s1|;
-* sem-sampler: ``rng -> (s, X, sigma)``;
+* sem-sampler: ``rng -> (s, X, sigma)`` (:func:`sem_view` makes one
+  from an ind-sampler by dropping s1);
 * distinguisher: ``(s0, s1, shares, sigma, rng) -> bit``;
 * learner: ``(shares, sigma, rng) -> value``;
 * simulator: ``(X, sigma, rng) -> value``.
@@ -155,6 +158,10 @@ def dver(commitments, s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext,
     return 1 if D(s0, s1, shares_x, sigma, rng) == b else 0
 
 
+def mest_iterations(eps: float, n: int) -> int:
+    return math.ceil(4 * n / eps)
+
+
 def mest(s0: bytes, s1: bytes, X: PartySet, eps: float, n: int,
          scheme: SchemeContext, D, rng: Stream, sigma: bytes = b"") -> int:
     """Bias estimator: 1 iff |q0 - q1| > n strictly after ceil(4n/eps) rounds."""
@@ -162,16 +169,11 @@ def mest(s0: bytes, s1: bytes, X: PartySet, eps: float, n: int,
         raise ValueError("eps must lie in (0, 1]")
     if n != scheme.n:
         raise ValueError("n disagrees with the scheme context")
-    iterations = math.ceil(4 * n / eps)
     q0 = q1 = 0
-    for _ in range(iterations):
+    for _ in range(mest_iterations(eps, n)):
         q0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
         q1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
     return 1 if abs(q0 - q1) > n else 0
-
-
-def mest_iterations(eps: float, n: int) -> int:
-    return math.ceil(4 * n / eps)
 
 
 def dprime(commitments, eps: float, n: int, sampler, D,
@@ -188,41 +190,22 @@ def dprime(commitments, eps: float, n: int, sampler, D,
     return 0
 
 
-@dataclass
-class BiasEstimate:
-    value: float
-    radius: float
-    trials: int
-    count0: int
-    count1: int
-    delta: float
-    master_seed: int
+def dprime_gap(scheme: SchemeContext, eps: float, sampler, D, runs: int,
+               lanes) -> tuple[int, int]:
+    """D' acceptance counts (on A0 lists, on A1 lists) over ``runs`` runs.
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value, "radius": self.radius, "trials": self.trials,
-            "count0": self.count0, "count1": self.count1,
-            "delta": self.delta, "master_seed": self.master_seed,
-        }
-
-
-def bias_estimate(s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext, D,
-                  trials: int, master_seed: int, delta: float = 0.01,
-                  sigma: bytes = b"") -> BiasEstimate:
-    """Monte-Carlo estimate of dver's advantage for recognizing Z = A0."""
-    if trials < 100:
-        raise ValueError("bias estimation needs at least 100 trials")
-    count0 = count1 = 0
-    for t in range(trials):
-        rng = Stream(derive_seed(master_seed, t))
-        count0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
-        count1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
-    return BiasEstimate(
-        value=abs(count0 - count1) / trials,
-        radius=hoeffding_radius(trials, delta),
-        trials=trials, count0=count0, count1=count1,
-        delta=delta, master_seed=master_seed,
-    )
+    ``lanes(t)`` gives run t's four stream seeds, in this order: the A0
+    list, D' on it, the A1 list, D' on it.  Every run draws only from its
+    own streams, so the counts do not depend on the order of the runs.
+    """
+    c0 = c1 = 0
+    for t in range(runs):
+        a0_list, a0_run, a1_list, a1_run = lanes(t)
+        c0 += dprime(scheme.a0_commitments(Stream(a0_list)), eps, scheme.n,
+                     sampler, D, scheme, Stream(a0_run))
+        c1 += dprime(scheme.a1_commitments(Stream(a1_list)), eps, scheme.n,
+                     sampler, D, scheme, Stream(a1_run))
+    return c0, c1
 
 
 @dataclass
@@ -257,6 +240,20 @@ def _report(game: str, trials: int, count0: int, count1: int, delta: float,
         radius=hoeffding_radius(trials, delta),
         delta=delta, master_seed=master_seed, extra=extra,
     )
+
+
+def bias_estimate(s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext, D,
+                  trials: int, master_seed: int, delta: float = 0.01,
+                  sigma: bytes = b"") -> GameReport:
+    """Monte-Carlo estimate of dver's advantage for recognizing Z = A0."""
+    if trials < 100:
+        raise ValueError("bias estimation needs at least 100 trials")
+    count0 = count1 = 0
+    for t in range(trials):
+        rng = Stream(derive_seed(master_seed, t))
+        count0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
+        count1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
+    return _report("bias", trials, count0, count1, delta, master_seed, {})
 
 
 def ind_game(scheme: SchemeContext, sampler, D, trials: int, master_seed: int,
@@ -353,7 +350,7 @@ class HybridLocation:
         }
 
 
-def hybrid_locate(list_D, n: int, eps: float, trials: int, master_seed: int,
+def hybrid_locate(list_D, n: int, trials: int, master_seed: int,
                   sample_source, delta: float = 0.01) -> HybridLocation:
     """Locate the adjacent hybrid with maximal estimated gap.
 
@@ -532,6 +529,16 @@ def mixed_sampler(structure: AccessStructure, p_unqualified: float, secret_len: 
     return sampler
 
 
+def sem_view(ind_sampler):
+    """The sem-sampler ``rng -> (s0, X, sigma)`` that drops s1 from each draw."""
+
+    def sampler(rng: Stream):
+        s0, _, X, sigma = ind_sampler(rng)
+        return s0, X, sigma
+
+    return sampler
+
+
 def constant_distinguisher(bit: int):
     def D(s0, s1, shares, sigma, rng):
         return bit
@@ -568,7 +575,7 @@ def instance_of_ciphertext(ct) -> MPrimeInstance:
     return MPrimeInstance.from_json(parse_payload(ct)["relation"]["instance"])
 
 
-def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS | None = None):
+def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS):
     """A distinguisher with dver-bias exactly ``beta`` (leaky backend).
 
     Intended for a *qualified* X (both mest branches then leak, so b is
@@ -581,8 +588,8 @@ def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS | None = 
     The one-sided (correlated) plant matters: at desk scale the paper's
     |q0 - q1| > n test sits within one standard deviation of an
     independent-coin plant's noise, so only plants whose A0 branch is
-    deterministic calibrate cleanly.  Passing the scheme's ``crs``
-    avoids re-parsing the embedded instance on every call.
+    deterministic calibrate cleanly.  ``crs`` is the scheme's CRS; only
+    the probe commitment is read from the embedded instance.
     """
     threshold = int(beta * (1 << 53))
 
@@ -594,17 +601,8 @@ def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS | None = 
         if leaked is None:
             return 0
         b = 1 if leaked == s1 else 0
-        if crs is not None:
-            obj = parse_payload(ct)
-            com_hex = obj["relation"]["instance"]["commitments"][probe_party - 1]
-            probe_com = Commitment.from_json(com_hex, crs)
-            probe_crs = crs
-        else:
-            inst = instance_of_ciphertext(ct)
-            probe_com = inst.commitments[probe_party - 1]
-            probe_crs = inst.crs
-        a0_branch = find_opening(probe_party, probe_com, probe_crs) is not None
-        if a0_branch:
+        com_hex = parse_payload(ct)["relation"]["instance"]["commitments"][probe_party - 1]
+        if find_opening(probe_party, Commitment.from_json(com_hex, crs), crs) is not None:
             return b
         return b ^ 1 if rng.bits(53) < threshold else b
 

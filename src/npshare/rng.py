@@ -72,10 +72,3 @@ class Stream:
             w = self.next64()
             if w < span:
                 return w % bound
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def spawn(self, index: int) -> "Stream":
-        """Child stream keyed by ``index``; does not advance this stream."""
-        return Stream(derive_seed(self.state, index))

@@ -1,12 +1,9 @@
 """SAT oracles for the compiled pipeline.
 
-Three entry points with different scope:
+Two entry points with different scope:
 
-* :func:`enumerate_sat` - pure enumeration, the cross-check oracle for
-  tiny formulas (<= 20 variables).
-* :func:`sat_brute_force` - unit propagation + chronological
-  backtracking, refused above a small variable budget.  Kept as the
-  simple, obviously-correct oracle.
+* :func:`enumerate_sat` - pure enumeration, the simple, obviously-correct
+  cross-check oracle for tiny formulas (<= 20 variables).
 * :func:`solve_cnf` - a conflict-driven clause-learning solver (watched
   literals, 1UIP learning, VSIDS, phase saving, Luby restarts).  This is
   what decides the Tseitin-compiled verifier formulas, whose gate
@@ -14,7 +11,7 @@ Three entry points with different scope:
   refutations are short once learned clauses prune the per-block seed
   spaces.
 
-All solvers return a full assignment (list of bools, variable v at
+Both solvers return a full assignment (list of bools, variable v at
 index v-1) or None for unsatisfiable; SAT answers are re-verified
 against the clause set before being returned.
 """
@@ -39,66 +36,6 @@ def enumerate_sat(cnf: CNF, var_limit: int = 20):
         if check_assignment(cnf, assignment):
             return assignment
     return None
-
-
-def sat_brute_force(cnf: CNF, var_budget: int = 26):
-    """DPLL (unit propagation + backtracking) within a variable budget."""
-    if cnf.num_vars > var_budget:
-        raise BudgetExceeded(
-            f"{cnf.num_vars} variables exceed the budget of {var_budget}; "
-            "use solve_cnf for compiled formulas"
-        )
-    if any(not clause for clause in cnf.clauses):
-        return None
-
-    def propagate(clauses, assignment):
-        changed = True
-        while changed:
-            changed = False
-            next_clauses = []
-            for clause in clauses:
-                live = []
-                satisfied = False
-                for lit in clause:
-                    val = assignment.get(abs(lit))
-                    if val is None:
-                        live.append(lit)
-                    elif (lit > 0) == val:
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not live:
-                    return None
-                if len(live) == 1:
-                    assignment[abs(live[0])] = live[0] > 0
-                    changed = True
-                else:
-                    next_clauses.append(live)
-            clauses = next_clauses
-        return clauses
-
-    def search(clauses, assignment):
-        clauses = propagate(clauses, assignment)
-        if clauses is None:
-            return None
-        if not clauses:
-            return assignment
-        var = abs(clauses[0][0])
-        for value in (False, True):
-            trial = dict(assignment)
-            trial[var] = value
-            result = search(clauses, trial)
-            if result is not None:
-                return result
-        return None
-
-    result = search([list(c) for c in cnf.clauses], {})
-    if result is None:
-        return None
-    assignment = [result.get(v + 1, False) for v in range(cnf.num_vars)]
-    assert check_assignment(cnf, assignment)
-    return assignment
 
 
 def _luby(i: int) -> int:

@@ -166,7 +166,7 @@ def recon(shares, X: PartySet, inner_witness) -> bytes | None:
         raise MissingShareError("no shares provided")
     header = shares[0].header
     for s in shares[1:]:
-        if s.header != header or s.ciphertext.to_json() != shares[0].ciphertext.to_json():
+        if s.header != header or s.ciphertext != shares[0].ciphertext:
             raise MixedDealingError("shares come from different dealings")
     if X.n != header.n:
         raise ValueError("party set size disagrees with the dealing")

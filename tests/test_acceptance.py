@@ -19,12 +19,13 @@ from npshare.commitments import commit, crs_gen, sample_opening, supports_disjoi
 from npshare.harness import (
     SchemeContext,
     dictator,
-    dprime,
+    dprime_gap,
     hybrid_locate,
     ind_game,
     ind_to_sem,
     sem_game,
     sem_to_ind,
+    sem_view,
     fixed_sampler,
     guess_simulator,
     leak_learner,
@@ -254,16 +255,8 @@ def criterion_4(seed):
     ctx = SchemeContext.create(structure, seed=derive_seed(seed, 0x444), backend="leaky")
     sampler = mixed_sampler(structure, 0.3, 4)
     D = leak_reader()
-    c0 = c1 = 0
-    for run in range(runs):
-        c0 += dprime(
-            ctx.a0_commitments(Stream(derive_seed(seed, 0x444100 + run))),
-            eps, n, sampler, D, ctx, Stream(derive_seed(seed, 0x444200 + run)),
-        )
-        c1 += dprime(
-            ctx.a1_commitments(Stream(derive_seed(seed, 0x444300 + run))),
-            eps, n, sampler, D, ctx, Stream(derive_seed(seed, 0x444400 + run)),
-        )
+    c0, c1 = dprime_gap(ctx, eps, sampler, D, runs, lambda run: tuple(
+        derive_seed(seed, lane + run) for lane in (0x444100, 0x444200, 0x444300, 0x444400)))
     gap = abs(c0 - c1) / runs
     return {
         "criterion": 4,
@@ -289,9 +282,9 @@ def test_criterion_4_end_to_end_reduction():
 def criterion_5(seed):
     n, j, gap = 8, 3, 0.8
     detector = position_detector(j, gap, n)
-    loc = hybrid_locate(detector, n, gap, 400, master_seed=derive_seed(seed, 0x555),
+    loc = hybrid_locate(detector, n, 400, master_seed=derive_seed(seed, 0x555),
                         sample_source=transparent_sample_source)
-    confirm = hybrid_locate(detector, n, gap, 400, master_seed=derive_seed(seed, 0x556),
+    confirm = hybrid_locate(detector, n, 400, master_seed=derive_seed(seed, 0x556),
                             sample_source=transparent_sample_source)
     # direct estimate of the returned pairwise distinguisher's gap
     trials = 400
@@ -331,12 +324,7 @@ def test_criterion_5_hybrid_lemma():
 def criterion_6(seed):
     structure = threshold_structure(6, 2)
     ctx = SchemeContext.create(structure, seed=derive_seed(seed, 0x666), backend="leaky")
-    sampler_ind = mixed_sampler(structure, 0.3, 1)
-
-    def sampler_sem(rng):
-        s0, _, X, sigma = sampler_ind(rng)
-        return s0, X, sigma
-
+    sampler_sem = sem_view(mixed_sampler(structure, 0.3, 1))
     identity = lambda s: s
     sem_report = sem_game(ctx, sampler_sem, leak_learner(), guess_simulator(1),
                           identity, 1000, master_seed=derive_seed(seed, 0x666100))

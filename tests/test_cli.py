@@ -230,6 +230,21 @@ def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_experiment_dprime_golden_report(workdir):
+    # golden values of the CLI's seed lanes: swapping the two D' lanes or
+    # reordering the lanes changes them, while the cross-process test below
+    # compares two runs of the same code and cannot tell
+    (workdir / "dp.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 4, "payload": 2},
+        "backend": "leaky", "game": "dprime", "runs": 5, "epsilon": 0.5,
+    }))
+    out = workdir / "dp_report.json"
+    code = run("--seed", 7, "experiment", "--config", workdir / "dp.json", "--out", out)
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["accept_a0"], report["accept_a1"]) == (1.0, 0.2)
+
+
 def test_experiment_report_identical_across_processes(tmp_path):
     (tmp_path / "exp.json").write_text(json.dumps({
         "structure": {"kind": "threshold", "n": 3, "payload": 2},

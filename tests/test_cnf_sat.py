@@ -9,7 +9,7 @@ from npshare.cnf import CNF, check_assignment, dimacs, parse_dimacs, tseitin
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import MPrimeInstance, exhaustive_witness_search
 from npshare.rng import Stream, derive_seed
-from npshare.sat import BudgetExceeded, enumerate_sat, sat_brute_force, solve_cnf
+from npshare.sat import BudgetExceeded, enumerate_sat, solve_cnf
 from npshare.structures import PartySet, threshold_structure
 
 
@@ -138,15 +138,7 @@ def test_check_assignment_matches_per_literal_reference():
     assert outcomes == {True, False}
 
 
-def test_sat_brute_force_examples():
-    sat = sat_brute_force(CNF(2, [(1, 2), (-1,)]))
-    assert sat is not None and sat[0] is False and sat[1] is True
-    assert sat_brute_force(CNF(1, [(1,), (-1,)])) is None
-
-
 def test_sat_brute_force_budget():
-    with pytest.raises(BudgetExceeded):
-        sat_brute_force(CNF(27, [(1,)]))
     with pytest.raises(BudgetExceeded):
         enumerate_sat(CNF(21, [(1,)]))
 
@@ -170,8 +162,7 @@ def test_solvers_agree_on_random_cnfs():
         cnf = random_cnf(rng, 5 + rng.randrange(9), 10 + rng.randrange(30))
         by_enum = enumerate_sat(cnf) is not None
         by_cdcl = solve_cnf(cnf) is not None
-        by_dpll = sat_brute_force(cnf) is not None
-        if not (by_enum == by_cdcl == by_dpll):
+        if by_enum != by_cdcl:
             disagreements += 1
     assert disagreements == 0
 
@@ -209,7 +200,7 @@ def pigeonhole(holes):
 
 def test_pigeonhole_unsat():
     assert solve_cnf(pigeonhole(3)) is None
-    assert sat_brute_force(pigeonhole(3)) is None
+    assert enumerate_sat(pigeonhole(3)) is None
     assert solve_cnf(pigeonhole(5)) is None
 
 

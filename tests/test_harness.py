@@ -12,6 +12,7 @@ from npshare.harness import (
     dictator,
     dictator_diff,
     dprime,
+    dprime_gap,
     dver,
     fixed_sampler,
     hoeffding_radius,
@@ -31,6 +32,7 @@ from npshare.harness import (
     qualified,
     sem_game,
     sem_to_ind,
+    sem_view,
     shape_distinguisher,
     transparent_sample_source,
 )
@@ -234,7 +236,7 @@ def test_dprime_outer_iteration_bound():
 def test_bias_constant_d_below_radius(leaky6):
     est = bias_estimate(S0, S1, PartySet.of(6, {1}), leaky6,
                         constant_distinguisher(1), 400, master_seed=71)
-    assert est.value <= est.radius
+    assert est.advantage <= est.radius
 
 
 def test_bias_perfect_under_a0_only(leaky6):
@@ -242,7 +244,7 @@ def test_bias_perfect_under_a0_only(leaky6):
     # A1 -> bias approx 1 - 1/2 = 0.5
     est = bias_estimate(S0, S1, PartySet.of(6, {1}), leaky6, leak_reader(),
                         600, master_seed=72)
-    assert abs(est.value - 0.5) <= 2 * est.radius
+    assert abs(est.advantage - 0.5) <= 2 * est.radius
 
 
 def test_bias_estimate_reproducible(leaky6):
@@ -332,11 +334,7 @@ def test_games_refuse_infeasible_ground_truth():
 
 
 def test_sem_game_constant_f_zero_gap(leaky6):
-    samp_ind = mixed_sampler(leaky6.structure, 0.3, 4)
-
-    def samp(rng):
-        s0, _, X, sigma = samp_ind(rng)
-        return s0, X, sigma
+    samp = sem_view(mixed_sampler(leaky6.structure, 0.3, 4))
 
     def learner(shares, sigma, rng):
         return 7
@@ -359,14 +357,20 @@ def test_dver_perfect_recovery_under_a0(leaky6):
     assert hits == 100
 
 
+def test_sem_view_drops_s1_and_keeps_the_draws(leaky6):
+    ind = mixed_sampler(leaky6.structure, 0.3, 4)
+    sem = sem_view(ind)
+    for t in range(50):
+        rng_ind, rng_sem = Stream(derive_seed(0x5E, t)), Stream(derive_seed(0x5E, t))
+        s0, _, X, sigma = ind(rng_ind)
+        assert sem(rng_sem) == (s0, X, sigma)
+        assert rng_sem.state == rng_ind.state
+
+
 def test_sem_game_first_bit_gap(leaky6):
     # Learner reads the leak, f = first bit, simulator guesses:
     # gap ~ Pr[M(X)=0] / 2.
-    samp_ind = mixed_sampler(leaky6.structure, 0.3, 1)
-
-    def samp(rng):
-        s0, _, X, sigma = samp_ind(rng)
-        return s0, X, sigma
+    samp = sem_view(mixed_sampler(leaky6.structure, 0.3, 1))
 
     f = dictator(0, 8)
 
@@ -385,11 +389,7 @@ def test_sem_game_first_bit_gap(leaky6):
 def test_sem_game_identical_procedures_null_gap(leaky6):
     # Learner and simulator draw from the same distribution (ignoring their
     # distinguishing inputs): the gap vanishes up to sampling noise.
-    samp_ind = mixed_sampler(leaky6.structure, 0.3, 1)
-
-    def samp(rng):
-        s0, _, X, sigma = samp_ind(rng)
-        return s0, X, sigma
+    samp = sem_view(mixed_sampler(leaky6.structure, 0.3, 1))
 
     def learner(shares, sigma, rng):
         return rng.bit()
@@ -402,22 +402,58 @@ def test_sem_game_identical_procedures_null_gap(leaky6):
     assert report.advantage <= report.radius
 
 
-def test_dprime_gap_with_leaky_backend(leaky6):
+GAP_RUNS = 25
+
+
+def recording_leak_reader(log):
+    """The leak reader, logging the instance and stream state of every call."""
+    leak = leak_reader()
+
+    def D(s0, s1, shares, sigma, rng):
+        log.append((shares[0].ciphertext.instance_digest, rng.state))
+        return leak(s0, s1, shares, sigma, rng)
+
+    return D
+
+
+@pytest.fixture(scope="module")
+def leaky6_gap(leaky6):
     samp = mixed_sampler(leaky6.structure, 0.3, 4)
-    D = leak_reader()
-    runs = 25
+    log = []
+    lanes = (0x100, 0x101, 0x102, 0x103)
+    counts = dprime_gap(leaky6, 0.3, samp, recording_leak_reader(log), GAP_RUNS,
+                        lambda t: tuple(derive_seed(lane, t) for lane in lanes))
+    return counts, log
+
+
+def test_dprime_gap_with_leaky_backend(leaky6_gap):
+    (c0, c1), _ = leaky6_gap
+    assert c0 / GAP_RUNS >= 0.9
+    assert abs(c0 - c1) / GAP_RUNS >= 0.2
+
+
+def test_dprime_gap_equals_hand_written_loop(leaky6, leaky6_gap):
+    # the reference: D' on A0 lists, then D' on A1 lists, each run on the
+    # seed lanes 0x100..0x103 (A0 list, D' on A0, A1 list, D' on A1).  The
+    # counts alone are coarse (c0 is nearly always GAP_RUNS), so every call
+    # of D is compared too; dprime_gap interleaves A0 and A1 runs, hence
+    # the calls are compared as multisets.
+    samp = mixed_sampler(leaky6.structure, 0.3, 4)
+    log = []
+    D = recording_leak_reader(log)
     c0 = sum(
         dprime(leaky6.a0_commitments(Stream(derive_seed(0x100, t))), 0.3, 6,
                samp, D, leaky6, Stream(derive_seed(0x101, t)))
-        for t in range(runs)
+        for t in range(GAP_RUNS)
     )
     c1 = sum(
         dprime(leaky6.a1_commitments(Stream(derive_seed(0x102, t))), 0.3, 6,
                samp, D, leaky6, Stream(derive_seed(0x103, t)))
-        for t in range(runs)
+        for t in range(GAP_RUNS)
     )
-    assert c0 / runs >= 0.9
-    assert abs(c0 - c1) / runs >= 0.2
+    counts, gap_log = leaky6_gap
+    assert counts == (c0, c1)
+    assert sorted(gap_log) == sorted(log)
 
 
 # --- hybrid locator ---------------------------------------------------------
@@ -432,7 +468,7 @@ def test_hybrid_values_endpoints():
 
 def test_hybrid_locates_planted_position():
     n, j, gap = 8, 3, 0.8
-    loc = hybrid_locate(position_detector(j, gap, n), n, 0.1, 300,
+    loc = hybrid_locate(position_detector(j, gap, n), n, 300,
                         master_seed=12345, sample_source=transparent_sample_source)
     assert loc.index == n - j + 1
     assert abs(loc.gap - gap) <= 0.1
@@ -444,7 +480,7 @@ def test_hybrid_locates_planted_position():
 
 
 def test_hybrid_constant_detector_flat():
-    loc = hybrid_locate(lambda samples, rng: 1, 5, 0.1, 200,
+    loc = hybrid_locate(lambda samples, rng: 1, 5, 200,
                         master_seed=7, sample_source=transparent_sample_source)
     assert loc.gap == 0.0
     assert all(g == 0.0 for g in loc.signed_gaps)
@@ -452,7 +488,7 @@ def test_hybrid_constant_detector_flat():
 
 def test_hybrid_telescoping_identity():
     n = 6
-    loc = hybrid_locate(position_detector(2, 0.6, n), n, 0.1, 250,
+    loc = hybrid_locate(position_detector(2, 0.6, n), n, 250,
                         master_seed=99, sample_source=transparent_sample_source)
     assert sum(loc.signed_gaps) == pytest.approx(loc.probs[0] - loc.probs[-1], abs=1e-12)
 
@@ -461,11 +497,7 @@ def test_hybrid_telescoping_identity():
 
 
 def test_sem_to_ind_constant_case(leaky6):
-    samp_ind = mixed_sampler(leaky6.structure, 0.3, 4)
-
-    def samp(rng):
-        s0, _, X, sigma = samp_ind(rng)
-        return s0, X, sigma
+    samp = sem_view(mixed_sampler(leaky6.structure, 0.3, 4))
 
     samp2, D2 = sem_to_ind(samp, lambda shares, sigma, rng: 3, lambda s: 3)
     # learner output always equals f(S1): D2 is constant 1, advantage 0
@@ -475,11 +507,7 @@ def test_sem_to_ind_constant_case(leaky6):
 
 
 def test_sem_to_ind_preserves_leak_advantage(leaky6):
-    samp_ind = mixed_sampler(leaky6.structure, 0.3, 1)
-
-    def samp(rng):
-        s0, _, X, sigma = samp_ind(rng)
-        return s0, X, sigma
+    samp = sem_view(mixed_sampler(leaky6.structure, 0.3, 1))
 
     identity = lambda s: s
     sem_report = sem_game(leaky6, samp, leak_learner(), guess_simulator(1),
