@@ -208,7 +208,9 @@ def _run_experiment(config, seed) -> dict:
         return report.to_json()
     if game == "dprime":
         ctx, sampler, D, _ = _experiment_context(config, seed)
-        runs = int(config.get("runs", 50))
+        runs = config.get("runs", 50)
+        if type(runs) is not int or runs <= 0:
+            raise ConfigError(f"runs must be a positive integer, got {runs!r}")
         c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs, lambda t: (
             derive_seed(seed, 2 * t), derive_seed(seed, 4_000_000 + t),
             derive_seed(seed, 2 * t + 1), derive_seed(seed, 5_000_000 + t)))

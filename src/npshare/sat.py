@@ -4,12 +4,12 @@ Two entry points with different scope:
 
 * :func:`enumerate_sat` - pure enumeration, the simple, obviously-correct
   cross-check oracle for tiny formulas (<= 20 variables).
-* :func:`solve_cnf` - a conflict-driven clause-learning solver (watched
-  literals, 1UIP learning, VSIDS, phase saving, Luby restarts).  This is
-  what decides the Tseitin-compiled verifier formulas, whose gate
-  variable counts are far past any enumeration budget but whose
-  refutations are short once learned clauses prune the per-block seed
-  spaces.
+* :func:`solve_cnf` - a conflict-driven clause-learning solver over the
+  CNF's signed literals (watched literals, 1UIP learning, VSIDS with a
+  lazy heap, phase saving, Luby restarts).  This is what decides the
+  Tseitin-compiled verifier formulas, whose gate variable counts are far
+  past any enumeration budget but whose refutations are short once
+  learned clauses prune the per-block seed spaces.
 
 Both solvers return a full assignment (list of bools, variable v at
 index v-1) or None for unsatisfiable; SAT answers are re-verified
@@ -55,179 +55,181 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
     """CDCL search; returns an assignment or None (unsat).
 
     ``max_conflicts`` guards runaway instances (RuntimeError when hit).
-    Literal encoding: variable v (0-based) has literals 2v (positive)
-    and 2v+1 (negative).
+    Literals are the CNF's signed ints: ``val``, ``level``, ``reason``,
+    ``seen`` and ``watches`` are indexed by the literal itself (size
+    2*nv+1, so a negative literal addresses the tail), the first four at
+    the literal that is true.  Watches and reasons hold the clause lists.
+    The VSIDS heap is lazy: ``live[v]`` says it holds (-activity[v], v)
+    at v's current activity, as it does for every unassigned v.  Bumps
+    push, backjumps push only variables without a live entry, and popping
+    a current entry clears the flag, so each decision is still the argmax
+    of (activity, -v) over unassigned variables.
     """
     nv = cnf.num_vars
-    clauses: list[list[int]] = []
+    size = 2 * nv + 1
+    val: list = [None] * size       # True/False per literal, None unassigned
+    level = [0] * size
+    reason: list = [None] * size    # clause list, None for decisions/units
+    seen = [False] * size
+    watches: list[list[list[int]]] = [[] for _ in range(size)]
     initial_units: list[int] = []
     for clause in cnf.clauses:
-        lits: list[int] = []
-        seen_lits = set()
-        tautology = False
-        for lit in clause:
-            enc = 2 * (abs(lit) - 1) + (1 if lit < 0 else 0)
-            if enc in seen_lits:
+        if len(clause) < 2 or len(set(map(abs, clause))) < len(clause):
+            # Units, repeated literals, tautologies: drop repeats, keep order.
+            clause = list(dict.fromkeys(clause))
+            if any(-lit in clause for lit in clause):
                 continue
-            if enc ^ 1 in seen_lits:
-                tautology = True
-                break
-            seen_lits.add(enc)
-            lits.append(enc)
-        if tautology:
-            continue
-        if not lits:
-            return None
-        if len(lits) == 1:
-            initial_units.append(lits[0])
-        else:
-            clauses.append(lits)
-
-    assign = [-1] * nv          # -1 undef, else 0/1
-    level = [0] * nv
-    reason = [-1] * nv          # clause index, -1 for decisions/units
+            if not clause:
+                return None
+            if len(clause) == 1:
+                initial_units.append(clause[0])
+                continue
+        c = list(clause)
+        watches[c[0]].append(c)
+        watches[c[1]].append(c)
     trail: list[int] = []
     trail_lim: list[int] = []
-    watches: list[list[int]] = [[] for _ in range(2 * nv)]
-    activity = [0.0] * nv
-    phase = [0] * nv
-    heap: list[tuple[float, int]] = []
+    activity = [0.0] * (nv + 1)
+    phase = [False] * (nv + 1)
+    heap: list[tuple[float, int]] = [(0.0, v) for v in range(1, nv + 1)]
+    live = [True] * (nv + 1)
     var_inc = 1.0
 
-    for ci, lits in enumerate(clauses):
-        watches[lits[0]].append(ci)
-        watches[lits[1]].append(ci)
-    for v in range(nv):
-        heappush(heap, (0.0, v))
-
-    def lit_val(lit: int) -> int:
-        a = assign[lit >> 1]
-        return a if a < 0 else a ^ (lit & 1)
-
-    def enqueue(lit: int, rsn: int) -> None:
-        var = lit >> 1
-        assign[var] = (lit & 1) ^ 1
-        level[var] = len(trail_lim)
-        reason[var] = rsn
-        phase[var] = assign[var]
+    def enqueue(lit: int, rsn) -> None:
+        val[lit] = True
+        val[-lit] = False
+        level[lit] = len(trail_lim)
+        reason[lit] = rsn
         trail.append(lit)
 
     qhead = 0
 
-    def propagate() -> int:
+    def propagate():
         nonlocal qhead
+        dl = len(trail_lim)
         while qhead < len(trail):
-            p = trail[qhead]
+            false_lit = -trail[qhead]
             qhead += 1
-            false_lit = p ^ 1
             ws = watches[false_lit]
             i = j = 0
             length = len(ws)
             while i < length:
-                ci = ws[i]
+                c = ws[i]
                 i += 1
-                lits = clauses[ci]
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                if lit_val(first) == 1:
-                    ws[j] = ci
+                first = c[0]
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
+                if val[first] is True:
+                    ws[j] = c
                     j += 1
                     continue
-                for idx in range(2, len(lits)):
-                    lk = lits[idx]
-                    if lit_val(lk) != 0:
-                        lits[1], lits[idx] = lits[idx], lits[1]
-                        watches[lk].append(ci)
-                        break
-                else:
-                    ws[j] = ci
-                    j += 1
-                    if lit_val(first) == 0:
-                        while i < length:       # keep remaining watches
-                            ws[j] = ws[i]
-                            j += 1
-                            i += 1
-                        del ws[j:]
-                        return ci
-                    enqueue(first, ci)
+                if len(c) == 3:
+                    lk = c[2]
+                    if val[lk] is not False:
+                        c[1] = lk
+                        c[2] = false_lit
+                        watches[lk].append(c)
+                        continue
+                elif len(c) > 3:
+                    for k in range(2, len(c)):
+                        lk = c[k]
+                        if val[lk] is not False:
+                            c[1] = lk
+                            c[k] = false_lit
+                            watches[lk].append(c)
+                            break
+                    else:
+                        k = 0               # no replacement watch
+                    if k:
+                        continue
+                ws[j] = c
+                j += 1
+                if val[first] is False:
+                    del ws[j:i]             # keep the remaining watches
+                    return c
+                val[first] = True
+                val[-first] = False
+                level[first] = dl
+                reason[first] = c
+                trail.append(first)
             del ws[j:]
-        return -1
+        return None
 
     def bump(var: int) -> None:
         nonlocal var_inc
         activity[var] += var_inc
         if activity[var] > 1e100:
-            for v in range(nv):
+            for v in range(1, nv + 1):
                 activity[v] *= 1e-100
             var_inc *= 1e-100
             heap.clear()
-            for v in range(nv):
-                if assign[v] < 0:
+            for v in range(1, nv + 1):
+                live[v] = val[v] is None
+                if live[v]:
                     heappush(heap, (-activity[v], v))
         else:
             heappush(heap, (-activity[var], var))
+            live[var] = True
 
-    seen = [False] * nv
-
-    def analyze(confl: int) -> tuple[list[int], int]:
+    def analyze(confl: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = [0]
         counter = 0
-        p = -1
         index = len(trail) - 1
         cur_level = len(trail_lim)
-        lits = clauses[confl]
+        lits = confl
         while True:
-            start = 0 if p == -1 else 1
-            for q in lits[start:]:
-                var = q >> 1
-                if not seen[var] and level[var] > 0:
-                    seen[var] = True
-                    bump(var)
-                    if level[var] == cur_level:
+            for q in lits:
+                if not seen[-q] and level[-q] > 0:
+                    seen[-q] = True
+                    bump(q if q > 0 else -q)
+                    if level[-q] == cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[trail[index] >> 1]:
+            while not seen[trail[index]]:
                 index -= 1
             p = trail[index]
             index -= 1
-            seen[p >> 1] = False
+            seen[p] = False
             counter -= 1
             if counter == 0:
                 break
-            lits = clauses[reason[p >> 1]]
-        learnt[0] = p ^ 1
+            lits = reason[p][1:]
+        learnt[0] = -p
         for q in learnt[1:]:
-            seen[q >> 1] = False
+            seen[-q] = False
         if len(learnt) == 1:
             return learnt, 0
         best = 1
         for idx in range(2, len(learnt)):
-            if level[learnt[idx] >> 1] > level[learnt[best] >> 1]:
+            if level[-learnt[idx]] > level[-learnt[best]]:
                 best = idx
         learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, level[learnt[1] >> 1]
+        return learnt, level[-learnt[1]]
 
     def backjump(target_level: int) -> None:
         nonlocal qhead
         if len(trail_lim) <= target_level:
             return
         boundary = trail_lim[target_level]
-        for lit in reversed(trail[boundary:]):
-            var = lit >> 1
-            assign[var] = -1
-            heappush(heap, (-activity[var], var))
+        for lit in trail[boundary:]:
+            val[lit] = val[-lit] = None
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            if not live[var]:
+                live[var] = True
+                heappush(heap, (-activity[var], var))
         del trail[boundary:]
         del trail_lim[target_level:]
         qhead = len(trail)
 
     for lit in initial_units:
-        if lit_val(lit) == 0:
+        if val[lit] is False:
             return None
-        if lit_val(lit) == -1:
-            enqueue(lit, -1)
-    if propagate() != -1:
+        if val[lit] is None:
+            enqueue(lit, None)
+    if propagate() is not None:
         return None
 
     conflicts = 0
@@ -236,7 +238,7 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
 
     while True:
         confl = propagate()
-        if confl != -1:
+        if confl is not None:
             conflicts += 1
             if max_conflicts is not None and conflicts > max_conflicts:
                 raise RuntimeError("conflict budget exceeded")
@@ -246,25 +248,26 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
             var_inc /= 0.95
             backjump(back_level)
             if len(learnt) == 1:
-                enqueue(learnt[0], -1)
+                enqueue(learnt[0], None)
             else:
-                ci = len(clauses)
-                clauses.append(learnt)
-                watches[learnt[0]].append(ci)
-                watches[learnt[1]].append(ci)
-                enqueue(learnt[0], ci)
+                watches[learnt[0]].append(learnt)
+                watches[learnt[1]].append(learnt)
+                enqueue(learnt[0], learnt)
             if conflicts >= restart_limit:
                 restart_idx += 1
                 restart_limit = conflicts + 100 * _luby(restart_idx)
                 backjump(0)
             continue
         if len(trail) == nv:
-            assignment = [assign[v] == 1 for v in range(nv)]
-            assert check_assignment(cnf, assignment)
+            assignment = val[1:nv + 1]
+            if not check_assignment(cnf, assignment):
+                raise AssertionError("solve_cnf: assignment fails the clause set")
             return assignment
         while True:
-            _, var = heappop(heap)
-            if assign[var] < 0:
+            key, var = heappop(heap)
+            if key == -activity[var]:
+                live[var] = False
+            if val[var] is None:
                 break
         trail_lim.append(len(trail))
-        enqueue(2 * var + (phase[var] ^ 1), -1)
+        enqueue(var if phase[var] else -var, None)

@@ -129,24 +129,34 @@ def _payload(fields: dict, relation_desc: bytes) -> bytes:
 
 
 def parse_payload(ct: WECiphertext) -> dict:
-    """The payload object; CorruptCiphertext unless it is a version-1 payload."""
+    """The payload object; CorruptCiphertext unless it is a version-1 payload
+    with exactly the fields its backend writes, as hex strings: leaky has an
+    8-byte nonce and one of plain/noise, the others key, body and check."""
     try:
         obj = json.loads(ct.payload)
     except (ValueError, UnicodeDecodeError) as exc:
         raise CorruptCiphertext(f"unparseable payload: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("v") != 1 or not isinstance(obj.get("relation"), dict):
-        raise CorruptCiphertext("unparseable payload: bad version or relation")
+    leaky = ct.backend == "leaky"
+    fields = ("nonce", "plain", "noise") if leaky else ("key", "body", "check")
+    if (not isinstance(obj, dict) or obj.keys() != {*fields, "relation", "v"}
+            or type(obj["v"]) is not int or obj["v"] != 1 or not isinstance(obj["relation"], dict)):
+        raise CorruptCiphertext("unparseable payload: bad version, fields or relation")
+    try:
+        raw = [bytes.fromhex(obj[f]) for f in fields if obj[f] is not None]
+    except (TypeError, ValueError) as exc:
+        raise CorruptCiphertext(f"unparseable payload field: {exc}") from exc
+    if len(raw) != 3 - leaky or leaky and (obj["nonce"] is None or len(raw[0]) != 8):
+        raise CorruptCiphertext("unparseable payload: a field is null where hex is due")
     return obj
 
 
 def _load_relation(ct: WECiphertext, desc: dict):
     if ct.relation is not None:
         return ct.relation
-    loader = _relation_loaders.get(desc.get("type"))
+    tag = desc.get("type")
+    loader = _relation_loaders.get(tag) if isinstance(tag, str) else None
     if loader is None:
-        raise UnboundRelation(
-            f"no loader for relation type {desc.get('type')!r}; bind() a relation first"
-        )
+        raise UnboundRelation(f"no loader for relation type {tag!r}; bind() a relation first")
     try:
         relation = loader(desc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -196,21 +206,16 @@ def we_decrypt(ct: WECiphertext, witness) -> bytes | None:
     relation = _load_relation(ct, obj["relation"])
     if not relation.check(witness):
         return None
-    try:
-        if ct.backend == "leaky":
-            plain = obj["plain"]
-            if plain is None:
-                # check() accepted but the instance was recorded as outside
-                # the language; the relation is inconsistent.
-                raise CorruptCiphertext("leaky payload has no plaintext for a valid witness")
-            message = bytes.fromhex(plain)
-        else:
-            key = bytes.fromhex(obj["key"])
-            message = _keystream_xor(key, bytes.fromhex(obj["body"]))
-            if f"{checksum64(message):016x}" != obj["check"]:
-                raise CorruptCiphertext("checksum mismatch")
-    except (KeyError, ValueError) as exc:
-        raise CorruptCiphertext(f"malformed payload fields: {exc}") from exc
+    if ct.backend == "leaky":
+        if obj["plain"] is None:
+            # check() accepted but the instance was recorded as outside
+            # the language; the relation is inconsistent.
+            raise CorruptCiphertext("leaky payload has no plaintext for a valid witness")
+        message = bytes.fromhex(obj["plain"])
+    else:
+        message = _keystream_xor(bytes.fromhex(obj["key"]), bytes.fromhex(obj["body"]))
+        if f"{checksum64(message):016x}" != obj["check"]:
+            raise CorruptCiphertext("checksum mismatch")
     if len(message) != ct.msg_len:
         raise CorruptCiphertext("message length disagrees with the envelope")
     return message
@@ -226,7 +231,7 @@ def leak_message(ct: WECiphertext) -> bytes | None:
     if ct.backend != "leaky":
         return None
     try:
-        plain = parse_payload(ct).get("plain")
-        return None if plain is None else bytes.fromhex(plain)
-    except (CorruptCiphertext, TypeError, ValueError):
+        plain = parse_payload(ct)["plain"]
+    except CorruptCiphertext:
         return None
+    return None if plain is None else bytes.fromhex(plain)

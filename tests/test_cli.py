@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npshare.cli import (
     EXIT_CONFIG,
@@ -164,6 +168,18 @@ def test_experiment_zero_trials_exit_2(workdir):
     assert run("experiment", "ind", "--config", workdir / "z.json") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("runs", [0, -2, True])
+def test_experiment_dprime_bad_runs_exit_2(workdir, capsys, runs):
+    (workdir / "r.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 3, "payload": 2},
+        "backend": "leaky", "game": "dprime", "runs": runs,
+    }))
+    assert run("experiment", "--config", workdir / "r.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "runs must be a positive integer" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_experiment_seeded_reports_identical(workdir, capsys):
     (workdir / "exp.json").write_text(json.dumps({
         "structure": {"kind": "threshold", "n": 6, "payload": 2},
@@ -228,6 +244,139 @@ def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
     code = run("recon", "--parties", "1", bad)
     assert code == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module", params=["idealized", "leaky", "cnf"])
+def dealt(request, tmp_path_factory):
+    """share_1 and share_2 of a threshold(3,2) dealing, as JSON objects."""
+    root = tmp_path_factory.mktemp(request.param)
+    (root / "cfg.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 3, "payload": 2},
+        "backend": request.param, "master_seed": 5,
+    }))
+    (root / "secret.bin").write_bytes(b"four")
+    assert run("deal", "--config", root / "cfg.json", "--secret", root / "secret.bin",
+               "--out", root / "deal") == EXIT_OK
+    return root, [json.loads((root / "deal" / f"share_{i}.json").read_text()) for i in (1, 2)]
+
+
+def _decode_payload(share):
+    """The share with its hex payload decoded, so mutations reach inside it."""
+    share = json.loads(json.dumps(share))
+    share["ciphertext"]["payload"] = json.loads(bytes.fromhex(share["ciphertext"]["payload"]))
+    return share
+
+
+def _hex_text(value):
+    """A hex field as it is, or a decoded payload encoded back to hex."""
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode().hex()
+
+
+def _encode_payload(doc):
+    ct = doc.get("ciphertext") if isinstance(doc, dict) else None
+    if isinstance(ct, dict) and isinstance(ct.get("payload"), dict):
+        ct["payload"] = _hex_text(ct["payload"])
+    return doc
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for idx, child in enumerate(value):
+            yield from _nodes(child, path + (idx,))
+
+
+def _json_type(value):
+    return type(value) if value is not None else None
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=False),
+    st.text(max_size=8), st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+)
+HEX = re.compile(r"(?:[0-9a-f]{2})+")
+
+
+DROP = object()
+
+
+@st.composite
+def share_mutation(draw, share):
+    """(path, change) for one malformed share file: a key dropped, a value
+    of the wrong type, truncated or garbage hex, a party out of range, or a
+    scalar or array in place of an object.  ``change(old)`` is the new value
+    or DROP."""
+    nodes = list(_nodes(_decode_payload(share)))
+    kind = draw(st.sampled_from(["drop", "retype", "hex", "party", "not-an-object"]))
+    if kind == "party":
+        party = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=4)))
+        return ("party",), lambda old: party
+    if kind == "drop":
+        choices = [p for p, _ in nodes if p]
+    elif kind == "retype":
+        choices = [p for p, _ in nodes]
+    elif kind == "hex":
+        # structure_digest is only compared between share files, never decoded
+        choices = [p for p, v in nodes if p == ("ciphertext", "payload") or (
+            isinstance(v, str) and HEX.fullmatch(v) and p[-1] != "structure_digest")]
+    else:
+        choices = [p for p, v in nodes if isinstance(v, dict)]
+    path = draw(st.sampled_from(choices))
+    old = dict(nodes)[path]
+    if kind == "drop":
+        return path, lambda old: DROP
+    if kind == "hex":
+        if draw(st.booleans()):
+            cut = draw(st.floats(0, 1, exclude_max=True))
+            return path, lambda old: _hex_text(old)[:int(cut * len(_hex_text(old)))]
+        garbage = draw(st.text(alphabet="0123456789abcdefxyz", max_size=24).filter(
+            lambda g: len(g) % 2 or not HEX.fullmatch(g)))
+        return path, lambda old: garbage
+    if kind == "retype":
+        new = draw(JSON_VALUES.filter(lambda v: _json_type(v) is not _json_type(old)))
+    else:
+        new = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    return path, lambda old: new
+
+
+def _apply(share, mutation):
+    path, change = mutation
+    doc = _decode_payload(share)
+    if not path:
+        return change(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    new = change(parent[path[-1]])
+    if new is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return _encode_payload(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_recon_fuzzed_share_files_exit_cleanly(dealt, data):
+    root, shares = dealt
+    assert _encode_payload(_decode_payload(shares[0])) == shares[0]
+    mutation = data.draw(share_mutation(shares[0]))
+    # the same mutation in both files gets past the mixed-dealing check
+    both = data.draw(st.booleans())
+    paths = [root / "bad_1.json", root / "bad_2.json"]
+    paths[0].write_text(json.dumps(_apply(shares[0], mutation)))
+    paths[1].write_text(json.dumps(_apply(shares[1], mutation) if both else shares[1]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("recon", "--parties", "1,2", "--out", root / "secret.out", *paths)
+    assert code in {2, 3, 4, 5}, (code, mutation[0], both)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_experiment_dprime_golden_report(workdir):

@@ -1,16 +1,21 @@
 """Tseitin encoding and the SAT oracles."""
 
+import hashlib
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from npshare import sat
 from npshare.circuits import Builder, compile_mprime, eval_circuit
 from npshare.cnf import CNF, check_assignment, dimacs, parse_dimacs, tseitin
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import MPrimeInstance, exhaustive_witness_search
 from npshare.rng import Stream, derive_seed
 from npshare.sat import BudgetExceeded, enumerate_sat, solve_cnf
-from npshare.structures import PartySet, threshold_structure
+from npshare.structures import PartySet, edge_index, hamiltonian_structure, threshold_structure
 
 
 def test_single_and_gate_clause_count():
@@ -244,3 +249,110 @@ def test_compiled_honest_instance_sat_and_decodes():
     from npshare.induced import mprime_verify
 
     assert mprime_verify(inst, decode_witness(circuit, assignment)) is True
+
+
+def substituted_cnf(structure, X, seed):
+    """Tseitin CNF of the instance whose positions in X commit to their
+    own index and the others to n + i: satisfiable iff X is qualified."""
+    n = structure.n
+    rng = Stream(seed)
+    crs = crs_gen(n, 8, rng, expansion="toy")
+    coms = tuple(
+        commit(i if i in X else n + i, sample_opening(crs, rng), crs) for i in range(1, n + 1)
+    )
+    inst = MPrimeInstance(crs=crs, commitments=coms, structure=structure)
+    return tseitin(compile_mprime(inst))
+
+
+def random_3sat(rng, n_vars):
+    """Random 3-SAT at clause/variable ratio 4.26, where CDCL works hardest."""
+    clauses = []
+    for _ in range(int(4.26 * n_vars)):
+        lits = []
+        while len(lits) < 3:
+            v = 1 + rng.randrange(n_vars)
+            if v not in lits:
+                lits.append(v)
+        clauses.append(tuple(v if rng.bit() else -v for v in lits))
+    return CNF(n_vars, clauses)
+
+
+def trajectory_corpus():
+    # 436, 1457 and 5522 conflicts: restarts, and at the last one an
+    # activity rescale (activities pass 1e100 after ~4500 conflicts)
+    for n_vars, trial in ((90, 0), (120, 0), (200, 1)):
+        yield random_3sat(Stream(derive_seed(0x3A7, n_vars * 10 + trial)), n_vars)
+    for trial in range(300):
+        rng = Stream(derive_seed(0x601D, trial))
+        yield random_cnf(rng, 1 + rng.randrange(13), 1 + rng.randrange(45))
+    circuits = 0
+    for trial in range(1000):
+        rng = Stream(derive_seed(0x601E, trial))
+        circuit = random_circuit(rng, 4 + rng.randrange(12), 10 + rng.randrange(60))
+        if isinstance(circuit.output, bool):
+            continue
+        yield tseitin(circuit)
+        circuits += 1
+        if circuits == 60:
+            break
+    for holes in (3, 4, 5):
+        yield pigeonhole(holes)
+    cycle = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))}
+    path = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4))}
+    for structure, planted, unplanted in (
+        (threshold_structure(6, 3), {1, 3, 5}, {2, 6}),
+        (hamiltonian_structure(4), cycle, path),
+    ):
+        for X in (planted, unplanted):
+            yield substituted_cnf(structure, PartySet.of(structure.n, X), 0x601F)
+
+
+# SHA-256 over the solver's answers on trajectory_corpus().  It pins the
+# search itself: a change to decisions, propagation order, learning or
+# restarts shows up as a different first satisfying assignment.
+TRAJECTORY_SHA256 = "d6f788fd7131667b7cb5c9d3b1b2a46db4ad531754b167a6dede30c474321baa"
+
+
+def test_solve_cnf_search_trajectory_is_golden():
+    digest = hashlib.sha256()
+    answers = set()
+    for formula in trajectory_corpus():
+        result = solve_cnf(formula, max_conflicts=200_000)
+        digest.update(b"N;" if result is None else bytes(result) + b";")
+        answers.add(result is None)
+    assert answers == {True, False}
+    assert digest.hexdigest() == TRAJECTORY_SHA256
+
+
+@pytest.mark.parametrize("formula, expected", [
+    (CNF(2, [(1, 1, -2), (-1,)]), [False, False]),          # duplicate literal
+    (CNF(3, [(1, -1, 2), (-2, 3, -2), (2, -3)]), [False, False, False]),  # tautology
+    (CNF(2, [(2, 2), (-1, 2)]), [False, True]),              # reduces to a unit
+    (CNF(2, [(2, 2, 2), (-2, -2)]), None),                   # contradictory units
+    (CNF(1, [(1,), (-1,)]), None),
+    (CNF(0, []), []),
+])
+def test_solve_cnf_normalizes_clauses(formula, expected):
+    assert solve_cnf(formula) == expected
+
+
+def test_solve_cnf_budget_raises_runtime_error():
+    with pytest.raises(RuntimeError, match="conflict budget exceeded"):
+        solve_cnf(pigeonhole(4), max_conflicts=2)
+
+
+def test_solve_cnf_reverifies_without_assert(monkeypatch):
+    monkeypatch.setattr(sat, "check_assignment", lambda cnf, assignment: False)
+    with pytest.raises(AssertionError):
+        solve_cnf(CNF(2, [(1, 2)]))
+    # the re-verification must survive python -O, which strips assert
+    src = str(Path(__file__).parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from npshare import sat\n"
+        "from npshare.cnf import CNF\n"
+        "sat.check_assignment = lambda cnf, assignment: False\n"
+        "try:\n    sat.solve_cnf(CNF(2, [(1, 2)]))\nexcept AssertionError:\n    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "raised"
