@@ -26,7 +26,7 @@ Two expansion functions are shipped:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import serde
 from .rng import GOLDEN, MIX1, MIX2, Stream
@@ -198,10 +198,9 @@ def crs_gen(n: int, k: int, rng: Stream, expansion: str = "splitmix64") -> CRS:
 
 def sample_opening(crs: CRS, rng: Stream) -> Opening:
     """``ell`` k-bit seeds; for k <= 64 each is the one draw ``rng.bits(k)`` makes."""
-    if crs.k > 64:
-        return Opening(tuple([rng.bits(crs.k) for _ in range(crs.ell)]))
-    mask, next64 = (1 << crs.k) - 1, rng.next64
-    return Opening(tuple([next64() & mask for _ in range(crs.ell)]))
+    draw = rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)
+    mask = (1 << crs.k) - 1
+    return Opening(tuple([draw() & mask for _ in range(crs.ell)]))
 
 
 def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
@@ -221,6 +220,23 @@ def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
             block ^= crs_block
         bits |= block << (j * width)
     return Commitment(bits)
+
+
+def commitment_list(values, crs: CRS, rng: Stream) -> tuple[Commitment, ...]:
+    """``tuple(commit(v, sample_opening(crs, rng), crs) for v in values)``: the
+    same draws and commitments in one loop, building no openings."""
+    draw = rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)
+    mask, top, width = (1 << crs.k) - 1, 2 * crs.n, crs.block_bits
+    prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
+    coms = []
+    for value in values:
+        if not 1 <= value <= top:
+            raise ValueError(f"value {value} outside [2n] = [1, {top}]")
+        bits = 0
+        for j, crs_block in enumerate(crs.blocks):
+            bits |= (prg(draw() & mask) ^ crs_block * ((value >> j) & 1)) << (j * width)
+        coms.append(Commitment(bits))
+    return tuple(coms)
 
 
 def verify_opening(value: int, opening: Opening | None, crs: CRS, com: Commitment) -> bool:

@@ -48,12 +48,13 @@ import math
 from dataclasses import dataclass, field
 
 from . import serde
-from .commitments import CRS, Commitment, commit, crs_gen, find_opening, sample_opening
+from .commitments import (CRS, Commitment, commit, commitment_list, crs_gen, find_opening,
+                          sample_opening)
 from .induced import MPrimeInstance
 from .rng import Stream, derive_seed
 from .scheme import Dealing, Share, ShareHeader, default_expansion, relation_for, setup, shares_of
 from .structures import AccessStructure, PartySet, evaluate
-from .we import leak_message, parse_payload, we_encrypt
+from .we import leak_message, load_relation, parse_payload, we_encrypt
 
 
 def hoeffding_radius(trials: int, delta: float) -> float:
@@ -104,17 +105,11 @@ class SchemeContext:
             lam=self.lam, backend=self.backend, crs=self.crs,
         )
 
-    def fresh_commitment(self, value: int, rng: Stream) -> Commitment:
-        return commit(value, sample_opening(self.crs, rng), self.crs)
-
-    def commitment_list(self, values, rng: Stream) -> tuple[Commitment, ...]:
-        return tuple(self.fresh_commitment(v, rng) for v in values)
-
     def a0_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
-        return self.commitment_list(range(1, self.n + 1), rng)
+        return commitment_list(range(1, self.n + 1), self.crs, rng)
 
     def a1_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
-        return self.commitment_list(range(self.n + 1, 2 * self.n + 1), rng)
+        return commitment_list(range(self.n + 1, 2 * self.n + 1), self.crs, rng)
 
     def encrypt(self, inst: MPrimeInstance, secret: bytes, rng: Stream):
         return we_encrypt(self.backend, self.lam, relation_for(inst, self.backend), secret, rng)
@@ -124,37 +119,36 @@ def build_substituted_shares(commitments, X: PartySet, secret: bytes,
                              scheme: SchemeContext, rng: Stream):
     """The share-construction inside dver.
 
-    Samples openings for all n parties, commits party i afresh when
-    p_i is in X, keeps the input commitment otherwise, encrypts
-    ``secret`` against the substituted instance, and returns
-    (instance, all openings, shares of X).  Draw order is pinned:
-    openings for parties 1..n, then the encryption randomness.
+    Commits party i afresh when p_i is in X, keeps the input commitment
+    otherwise, encrypts ``secret`` against the substituted instance, and
+    returns (instance, shares of X).  Draw order is pinned: one opening's
+    worth of words for each of parties 1..n (drawn and dropped outside
+    X), then the encryption randomness.
     """
-    n = scheme.n
-    commitments = tuple(commitments)
-    if len(commitments) != n:
+    n, crs = scheme.n, scheme.crs
+    coms, openings = list(commitments), {}
+    if len(coms) != n:
         raise ValueError(f"expected {n} input commitments")
-    openings = [sample_opening(scheme.crs, rng) for _ in range(n)]
-    coms = tuple(
-        commit(i, openings[i - 1], scheme.crs) if i in X else commitments[i - 1]
-        for i in range(1, n + 1)
-    )
-    inst = MPrimeInstance(crs=scheme.crs, commitments=coms, structure=scheme.structure)
+    for i in range(1, n + 1):
+        if i in X:
+            openings[i] = sample_opening(crs, rng)
+            coms[i - 1] = commit(i, openings[i], crs)
+        else:
+            for _ in range(crs.ell * -(-crs.k // 64)):  # the draws of one sample_opening
+                rng.next64()
+    inst = MPrimeInstance(crs=crs, commitments=tuple(coms), structure=scheme.structure)
     ct = scheme.encrypt(inst, secret, rng)
-    shares_x = tuple(
-        Share(party=i, opening=openings[i - 1], ciphertext=ct, header=scheme.header)
-        for i in X.sorted()
-    )
-    return inst, openings, shares_x
+    return inst, tuple(Share(party=i, opening=op, ciphertext=ct, header=scheme.header)
+                       for i, op in openings.items())
 
 
 def dver(commitments, s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext,
          D, rng: Stream, sigma: bytes = b"") -> int:
-    """One distinguishing trial; 1 iff D recovers the encrypted index b."""
+    """One distinguishing trial; 1 iff D recovers the encrypted index b.
+
+    Draw order is unchanged: b, build_substituted_shares' draws, then D's."""
     b = rng.bit()
-    _, _, shares_x = build_substituted_shares(
-        commitments, X, s1 if b else s0, scheme, rng
-    )
+    _, shares_x = build_substituted_shares(commitments, X, s1 if b else s0, scheme, rng)
     return 1 if D(s0, s1, shares_x, sigma, rng) == b else 0
 
 
@@ -601,8 +595,8 @@ def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS):
         if leaked is None:
             return 0
         b = 1 if leaked == s1 else 0
-        com_hex = parse_payload(ct)["relation"]["instance"]["commitments"][probe_party - 1]
-        if find_opening(probe_party, Commitment.from_json(com_hex, crs), crs) is not None:
+        com = load_relation(ct).instance.commitments[probe_party - 1]
+        if find_opening(probe_party, com, crs) is not None:
             return b
         return b ^ 1 if rng.bits(53) < threshold else b
 

@@ -8,7 +8,7 @@ elsewhere) plus an inner witness that X is qualified, and decrypts.
 
 The commitment vector (the public instance) is emitted alongside the
 shares rather than inside each share; every share carries a header with
-the CRS and a structure digest so mixed dealings are detectable.
+the CRS and a structure digest, checked against the ciphertext's instance.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .commitments import CRS, Opening, commit, crs_gen, sample_opening
 from .induced import MPrimeInstance, MPrimeRelation, assemble_witness
 from .rng import Stream
 from .structures import AccessStructure, PartySet
-from .we import WECiphertext, we_decrypt, we_encrypt
+from .we import WECiphertext, load_relation, we_decrypt, we_encrypt
 
 SHARE_FORMAT = "npshare.share/1"
 DEALING_FORMAT = "npshare.dealing/1"
@@ -159,7 +159,8 @@ def recon(shares, X: PartySet, inner_witness) -> bytes | None:
     Returns the secret when the witness attests M(X) = 1 (probability 1
     by the completeness of the backend), otherwise None.  Shares from
     different dealings raise MixedDealingError, which is distinct from
-    the plain rejection.
+    the plain rejection.  A header whose CRS or structure digest is not
+    the ciphertext's instance's raises ValueError.
     """
     shares = tuple(shares)
     if not shares:
@@ -175,6 +176,9 @@ def recon(shares, X: PartySet, inner_witness) -> bytes | None:
     if missing:
         raise MissingShareError(f"no share for parties {missing}")
     witness = assemble_witness(X, by_party, inner_witness)
+    inst = load_relation(shares[0].ciphertext).instance
+    if inst.crs != header.crs or inst.structure.digest() != header.structure_digest:
+        raise ValueError("share header disagrees with the instance in its ciphertext")
     return we_decrypt(shares[0].ciphertext, witness)
 
 

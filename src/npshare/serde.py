@@ -21,11 +21,6 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_of(obj) -> str:
-    """SHA-256 over the canonical JSON encoding of ``obj``."""
-    return sha256_hex(canonical_json_bytes(obj))
-
-
 def require(obj, key: str, kind: type):
     """``obj[key]``, checked to exist and be a ``kind``; ValueError otherwise.
 

@@ -27,8 +27,9 @@ rebuilt from JSON advertise a loader tag via ``describe()`` and register
 a loader here, which makes parsed ciphertexts self-contained.
 ``describe()`` returns the canonical JSON bytes of an object whose
 ``"type"`` names the loader; they are spliced into the payload as they
-are, and the loader receives the object parsed.  Payloads are parsed in
-one place, :func:`parse_payload`.
+are, and the loader receives the object parsed.  A ciphertext from
+:func:`we_encrypt` keeps the fields it wrote as a cached parse; payloads
+read from outside are parsed in one place, :func:`parse_payload`.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ class WECiphertext:
     msg_len: int
     payload: bytes
     relation: object | None = field(default=None, compare=False, repr=False)
+    # parse_payload(self) but "relation" and "v"; set only with the relation
+    fields: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -150,20 +153,26 @@ def parse_payload(ct: WECiphertext) -> dict:
     return obj
 
 
-def _load_relation(ct: WECiphertext, desc: dict):
-    if ct.relation is not None:
+def load_relation(ct: WECiphertext):
+    """The relation bound to ``ct``, else the one its payload embeds, loaded
+    and bound; without a cached parse, parses the payload and caches it."""
+    if ct.fields is not None:
         return ct.relation
-    tag = desc.get("type")
-    loader = _relation_loaders.get(tag) if isinstance(tag, str) else None
-    if loader is None:
-        raise UnboundRelation(f"no loader for relation type {tag!r}; bind() a relation first")
-    try:
-        relation = loader(desc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCiphertext(f"embedded relation does not load: {exc!r}") from exc
-    if relation.instance_digest() != ct.instance_digest:
-        raise CorruptCiphertext("embedded relation disagrees with the instance digest")
-    return relation
+    obj = parse_payload(ct)
+    if ct.relation is None:
+        tag = obj["relation"].get("type")
+        loader = _relation_loaders.get(tag) if isinstance(tag, str) else None
+        if loader is None:
+            raise UnboundRelation(f"no loader for relation type {tag!r}; bind() a relation first")
+        try:
+            relation = loader(obj["relation"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptCiphertext(f"embedded relation does not load: {exc!r}") from exc
+        if relation.instance_digest() != ct.instance_digest:
+            raise CorruptCiphertext("embedded relation disagrees with the instance digest")
+        ct.relation = relation
+    ct.fields = {f: v for f, v in obj.items() if f not in ("relation", "v")}
+    return ct.relation
 
 
 def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) -> WECiphertext:
@@ -183,27 +192,29 @@ def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) ->
             body = {"plain": None, "noise": rng.bytes(len(message)).hex()}
         else:
             body = {"plain": message.hex(), "noise": None}
-        payload = _payload({"nonce": nonce.hex(), **body}, desc)
+        fields = {"nonce": nonce.hex(), **body}
     else:
         key = rng.bytes(max(8, (lam + 7) // 8))
-        payload = _payload({
+        fields = {
             "key": key.hex(),
             "body": _keystream_xor(key, message).hex(),
             "check": f"{checksum64(message):016x}",
-        }, desc)
-    return WECiphertext(
+        }
+    ct = WECiphertext(
         backend=backend,
         instance_digest=relation.instance_digest(),
         msg_len=len(message),
-        payload=payload,
+        payload=_payload(fields, desc),
         relation=relation,
     )
+    ct.fields = fields
+    return ct
 
 
 def we_decrypt(ct: WECiphertext, witness) -> bytes | None:
     """The message if the witness satisfies the bound instance, else None."""
-    obj = parse_payload(ct)
-    relation = _load_relation(ct, obj["relation"])
+    relation = load_relation(ct)
+    obj = ct.fields
     if not relation.check(witness):
         return None
     if ct.backend == "leaky":
@@ -231,7 +242,7 @@ def leak_message(ct: WECiphertext) -> bytes | None:
     if ct.backend != "leaky":
         return None
     try:
-        plain = parse_payload(ct)["plain"]
+        plain = (ct.fields or parse_payload(ct))["plain"]
     except CorruptCiphertext:
         return None
     return None if plain is None else bytes.fromhex(plain)

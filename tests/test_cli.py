@@ -246,6 +246,35 @@ def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _zero_structure_digest(share):
+    share["header"]["structure_digest"] = "00" * 32
+    return share
+
+
+def _flip_crs_byte(share):
+    bits = share["header"]["crs"]["bits"]
+    share["header"]["crs"]["bits"] = f"{int(bits[:2], 16) ^ 1:02x}" + bits[2:]
+    return share
+
+
+@pytest.mark.parametrize("mutate", [_zero_structure_digest, _flip_crs_byte],
+                         ids=["structure-digest-zeros", "crs-byte-flipped"])
+def test_recon_header_disagreeing_with_ciphertext_exit_2(workdir, capsys, mutate):
+    # the same change in both files gets past the mixed-dealing check
+    out = workdir / "deal"
+    run("deal", "--config", workdir / "cfg.json",
+        "--secret", workdir / "secret.bin", "--out", out)
+    paths = []
+    for i in (1, 2):
+        paths.append(workdir / f"bad_{i}.json")
+        paths[-1].write_text(json.dumps(mutate(json.loads((out / f"share_{i}.json").read_text()))))
+    code = run("recon", "--parties", "1,2", "--out", workdir / "secret.out", *paths)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "header" in err
+    assert not (workdir / "secret.out").exists()
+
+
 @pytest.fixture(scope="module", params=["idealized", "leaky", "cnf"])
 def dealt(request, tmp_path_factory):
     """share_1 and share_2 of a threshold(3,2) dealing, as JSON objects."""
@@ -322,9 +351,8 @@ def share_mutation(draw, share):
     elif kind == "retype":
         choices = [p for p, _ in nodes]
     elif kind == "hex":
-        # structure_digest is only compared between share files, never decoded
         choices = [p for p, v in nodes if p == ("ciphertext", "payload") or (
-            isinstance(v, str) and HEX.fullmatch(v) and p[-1] != "structure_digest")]
+            isinstance(v, str) and HEX.fullmatch(v))]
     else:
         choices = [p for p, v in nodes if isinstance(v, dict)]
     path = draw(st.sampled_from(choices))

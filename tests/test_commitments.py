@@ -1,5 +1,9 @@
 """Commitment layer: golden vectors, sizes, binding, hiding smoke test."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
@@ -9,6 +13,7 @@ from npshare.commitments import (
     Commitment,
     Opening,
     commit,
+    commitment_list,
     crs_gen,
     find_opening,
     opening_from_json,
@@ -227,6 +232,42 @@ def test_sample_opening_draws_like_stream_bits(k):
     opening = sample_opening(crs, fast)
     assert opening.seeds == tuple(reference.bits(k) for _ in range(crs.ell))
     assert fast.state == reference.state
+
+
+@pytest.mark.parametrize("expansion", ["splitmix64", "toy"])
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("k", [4, 8, 12, 13, 64, 65])
+def test_commitment_list_equals_per_opening_commits(k, n, expansion):
+    """The fused list makes the draws and commitments of one sample_opening
+    and one commit per value, on both sides of the PRG table (k <= 12) and
+    of the one-draw seed (k <= 64)."""
+    crs = crs_gen(n, k, Stream(k * 7 + n), expansion=expansion)
+    picker = Stream(n)
+    lists = [range(1, n + 1), range(n + 1, 2 * n + 1), []] + [
+        [1 + picker.randrange(2 * n) for _ in range(2 * n)] for _ in range(8)]
+    for t, values in enumerate(lists):
+        fused, reference = Stream(t), Stream(t)
+        assert commitment_list(values, crs, fused) == tuple(
+            commit(v, sample_opening(crs, reference), crs) for v in values)
+        assert fused.state == reference.state
+    for bad in (0, 2 * n + 1):
+        with pytest.raises(ValueError):
+            commitment_list([1, bad], crs, Stream(1))
+
+
+def test_commitment_list_range_check_survives_python_O():
+    src = str(Path(__file__).parent.parent / "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from npshare.commitments import commitment_list, crs_gen\n"
+        "from npshare.rng import Stream\n"
+        "crs = crs_gen(3, 8, Stream(1))\n"
+        "try:\n    commitment_list([2 * crs.n + 1], crs, Stream(0))\n"
+        "except ValueError:\n    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "raised"
 
 
 def test_find_opening_inverts_commit():

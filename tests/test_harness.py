@@ -1,9 +1,11 @@
 """Security-harness machinery: dver/mest/dprime, bias, hybrids, equivalences."""
 
+import hashlib
+
 import pytest
 from scipy.stats import chi2
 
-from npshare import serde
+from npshare import harness, serde, we
 from npshare.harness import (
     SchemeContext,
     bias_estimate,
@@ -36,9 +38,10 @@ from npshare.harness import (
     shape_distinguisher,
     transparent_sample_source,
 )
-from npshare.commitments import find_opening
+from npshare.commitments import commit, find_opening, sample_opening
+from npshare.induced import MPrimeInstance
 from npshare.rng import Stream, derive_seed
-from npshare.scheme import setup, shares_of
+from npshare.scheme import Share, setup, shares_of
 from npshare.structures import PartySet, evaluate, hamiltonian_structure, threshold_structure
 from npshare.we import leak_message
 
@@ -101,8 +104,8 @@ def test_dver_full_set_ignores_input_commitments(leaky6):
         out_b = dver(coms_b, S0, S1, X, leaky6, D, rng_b)
         assert out_a == out_b
         # construction paths agree byte for byte as well
-        inst_a, _, shares_a = build_substituted_shares(coms_a, X, S0, leaky6, Stream(seed))
-        inst_b, _, shares_b = build_substituted_shares(coms_b, X, S0, leaky6, Stream(seed))
+        inst_a, shares_a = build_substituted_shares(coms_a, X, S0, leaky6, Stream(seed))
+        inst_b, shares_b = build_substituted_shares(coms_b, X, S0, leaky6, Stream(seed))
         assert inst_a == inst_b
         assert [s.to_json() for s in shares_a] == [s.to_json() for s in shares_b]
 
@@ -126,7 +129,7 @@ def test_dver_share_distribution_identity_under_a0():
     rec = RecordingStream(42)
     b = rec.bit()
     secret = S1 if b else S0
-    inst_d, _, shares_d = build_substituted_shares(com_inputs, X, secret, ctx, rec)
+    inst_d, shares_d = build_substituted_shares(com_inputs, X, secret, ctx, rec)
 
     # SETUP tape: party 1 <- input opening s_1, parties 2,3 <- dver's r_2, r_3,
     # then the encryption key word.
@@ -154,11 +157,112 @@ def test_dver_share_bytes_chi2_two_sample():
         counts[0][shares_of(dealing, X)[0].opening.seeds[0] & 0xFF] += 1
         rng2 = Stream(derive_seed(0xAC, t))
         coms = ctx.a0_commitments(rng2)
-        _, _, shares_d = build_substituted_shares(coms, X, S0, ctx, rng2)
+        _, shares_d = build_substituted_shares(coms, X, S0, ctx, rng2)
         counts[1][shares_d[0].opening.seeds[0] & 0xFF] += 1
     stat = sum((a - b) ** 2 / (a + b) for a, b in zip(*counts) if a + b)
     dof = sum(1 for a, b in zip(*counts) if a + b) - 1
     assert stat < chi2.ppf(1 - 0.001, dof)
+
+
+def reference_substituted_shares(commitments, X, secret, scheme, rng):
+    """build_substituted_shares as it was: an opening for every party."""
+    openings = [sample_opening(scheme.crs, rng) for _ in range(scheme.n)]
+    coms = tuple(
+        commit(i, openings[i - 1], scheme.crs) if i in X else commitments[i - 1]
+        for i in range(1, scheme.n + 1)
+    )
+    inst = MPrimeInstance(crs=scheme.crs, commitments=coms, structure=scheme.structure)
+    ct = scheme.encrypt(inst, secret, rng)
+    return inst, tuple(
+        Share(party=i, opening=openings[i - 1], ciphertext=ct, header=scheme.header)
+        for i in X.sorted()
+    )
+
+
+@pytest.mark.parametrize("backend,k,trials", [
+    ("leaky", 8, 60), ("idealized", 8, 60), ("idealized", 13, 20), ("idealized", 65, 20),
+    ("cnf", 4, 8),
+])
+def test_build_substituted_shares_equals_per_opening_reference(backend, k, trials):
+    n = 5
+    ctx = SchemeContext.create(threshold_structure(n, 2), seed=k, backend=backend, k=k)
+    for t in range(trials):
+        picker = Stream(derive_seed(0x5B, t))
+        members = {i for i in range(1, n + 1) if picker.bit()}
+        X = PartySet.of(n, (set(), set(range(1, n + 1)), members)[min(t, 2)])
+        coms = (ctx.a0_commitments, ctx.a1_commitments)[t % 2](picker)
+        fast, reference = Stream(t), Stream(t)
+        inst, shares = build_substituted_shares(coms, X, S1, ctx, fast)
+        ref_inst, ref_shares = reference_substituted_shares(coms, X, S1, ctx, reference)
+        assert inst == ref_inst
+        assert [s.to_json() for s in shares] == [s.to_json() for s in ref_shares]
+        assert fast.state == reference.state
+
+
+@pytest.mark.parametrize("members", [set(), {2}, {1, 3, 6}, set(range(1, 7))])
+def test_dver_draws_an_opening_per_party_before_encryption(leaky6, members):
+    X, ell = PartySet.of(6, members), leaky6.crs.ell
+    ctx = SchemeContext(structure=leaky6.structure, crs=leaky6.crs, backend="idealized")
+    rec, marks = RecordingStream(5), []
+
+    def encrypt(inst, secret, rng):
+        marks.append(len(rng.words))
+        return SchemeContext.encrypt(ctx, inst, secret, rng)
+
+    def D(s0, s1, shares, sigma, rng):
+        for share in shares:
+            start = 1 + (share.party - 1) * ell
+            assert share.opening.seeds == tuple(w & 0xFF for w in rec.words[start:start + ell])
+        return 0
+
+    ctx.encrypt = encrypt
+    dver(leaky6.a1_commitments(Stream(4)), S0, S1, X, ctx, D, rec)
+    assert marks == [1 + 6 * ell]
+
+
+def test_mest_and_dprime_answers_are_golden(monkeypatch):
+    """SHA-256 over (q0, q1, verdict) of every mest call and every D' answer
+    on pinned seeds, recorded before the fused kernel."""
+    digest, dvers = hashlib.sha256(), []
+    real_dver, real_mest = harness.dver, harness.mest
+
+    def recording_dver(*args, **kwargs):
+        dvers.append(real_dver(*args, **kwargs))
+        return dvers[-1]
+
+    def recording_mest(*args, **kwargs):
+        dvers.clear()
+        verdict = real_mest(*args, **kwargs)
+        digest.update(repr((sum(dvers[0::2]), sum(dvers[1::2]), verdict)).encode())
+        return verdict
+
+    monkeypatch.setattr(harness, "dver", recording_dver)
+    monkeypatch.setattr(harness, "mest", recording_mest)
+    structure = threshold_structure(4, 2)
+    for backend, D in (("leaky", leak_reader()), ("idealized", shape_distinguisher())):
+        ctx = SchemeContext.create(structure, seed=0x60D, backend=backend)
+        sampler = mixed_sampler(structure, 0.3, 4)
+        for t in range(3):
+            for side, lists in enumerate((ctx.a0_commitments, ctx.a1_commitments)):
+                rng = Stream(derive_seed(0x60D, 2 * t + side))
+                answer = dprime(lists(rng), 0.5, 4, sampler, D, ctx, rng)
+                digest.update(repr(("dprime", answer)).encode())
+    assert digest.hexdigest() == (
+        "2318e306431d98e616edb1a883bce9549b2e0b394cac6257b557e71273163aab")
+
+
+def test_leak_reader_dver_parses_no_payload(leaky6, monkeypatch):
+    D = leak_reader()
+    runs = [(X, t) for X in (PartySet.full(6), PartySet.of(6, {3})) for t in range(10)]
+    expected = [dver(leaky6.a0_commitments(Stream(t)), S0, S1, X, leaky6, D, Stream(t))
+                for X, t in runs]
+
+    def no_parse(ct):
+        raise AssertionError("payload parsed")
+
+    monkeypatch.setattr(we, "parse_payload", no_parse)
+    assert [dver(leaky6.a0_commitments(Stream(t)), S0, S1, X, leaky6, D, Stream(t))
+            for X, t in runs] == expected
 
 
 def test_mest_iteration_and_call_counts(leaky6):

@@ -195,7 +195,7 @@ def test_spliced_bytes_equal_canonical_json(backend, in_language):
     structure = threshold_structure(3, 2)
     X = PartySet.full(3) if in_language else PartySet.empty(3)
     inst, _ = substituted_instance(structure, X, 90, expansion=default_expansion(backend))
-    assert inst.digest() == serde.digest_of(inst.to_json())
+    assert inst.digest() == serde.sha256_hex(serde.canonical_json_bytes(inst.to_json()))
     relation = relation_for(inst, backend)
     assert relation.in_language() is in_language
     ct = we_encrypt(backend, 16, relation, b"spliced", Stream(91))

@@ -85,6 +85,23 @@ def test_cnf_backend_runs_tseitin_only_to_check(monkeypatch):
     assert len(calls) == 2   # the parsed relation is compiled afresh
 
 
+@pytest.mark.parametrize("backend", ["idealized", "leaky", "cnf"])
+def test_recon_parses_payload_and_loads_relation_once(backend, monkeypatch):
+    from npshare import circuits, we
+
+    parses, compiles = [], []
+    real_parse, real_compile = we.parse_payload, circuits.compile_mprime
+    monkeypatch.setattr(we, "parse_payload", lambda ct: parses.append(ct) or real_parse(ct))
+    monkeypatch.setattr(circuits, "compile_mprime",
+                        lambda inst: compiles.append(inst) or real_compile(inst))
+    dealing = setup(threshold_structure(3, 2), b"once", Stream(21), backend=backend)
+    X = PartySet.of(3, {1, 2})
+    parsed = [share_parse(share_serialize(s)) for s in shares_of(dealing, X)]
+    compiles.clear()
+    assert recon(parsed, X, None) == b"once"
+    assert (len(parses), len(compiles)) == (1, backend == "cnf")
+
+
 def test_unqualified_rejection_sweep():
     structure = threshold_structure(5, 3)
     dealing = setup(structure, b"S", Stream(5))

@@ -1,5 +1,7 @@
 """Witness-encryption backends: completeness, soundness shape, envelopes."""
 
+import dataclasses
+
 import pytest
 
 from npshare.rng import Stream, derive_seed
@@ -8,6 +10,8 @@ from npshare.we import (
     UnboundRelation,
     WECiphertext,
     leak_message,
+    load_relation,
+    parse_payload,
     we_decrypt,
     we_encrypt,
 )
@@ -112,6 +116,29 @@ def test_leak_message_other_backend_none():
     rel = ModRelation(5, 2)
     ct = we_encrypt("idealized", 16, rel, b"zz", Stream(6))
     assert leak_message(ct) is None
+
+
+@pytest.mark.parametrize("backend,member", [
+    ("idealized", True), ("cnf", True), ("leaky", True), ("leaky", False),
+])
+def test_cached_parse_equals_parse_payload(backend, member):
+    rel = ModRelation(5, 2, member=member)
+    ct = we_encrypt(backend, 16, rel, b"cached", Stream(12))
+    parsed = parse_payload(ct)
+    assert ct.fields == {f: v for f, v in parsed.items() if f not in ("relation", "v")}
+    from_file = WECiphertext.from_json(ct.to_json()).bind(rel)
+    assert from_file.fields is None and load_relation(from_file) is rel
+    assert from_file.fields == ct.fields
+
+
+def test_replaced_payload_has_no_cache_and_is_parsed():
+    rel = ModRelation(5, 2)
+    ct = we_encrypt("leaky", 16, rel, b"first", Stream(13))
+    other = we_encrypt("leaky", 16, rel, b"other", Stream(14))
+    swapped = dataclasses.replace(ct, payload=other.payload)
+    assert swapped.fields is None and dataclasses.replace(ct) == ct
+    assert leak_message(swapped) == b"other"
+    assert we_decrypt(swapped, 2) == b"other"
 
 
 def test_corrupted_payload_distinguishable():
