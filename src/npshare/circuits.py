@@ -17,6 +17,9 @@ Hamiltonian cycles and an exactly-once cover for matchings.
 Only the "toy" expansion compiles (three k-bit mix rounds; the 64-bit
 default would be needlessly large at desk scale), so instances headed
 for this pipeline must use CRSs with ``expansion="toy"``.
+``check_compilable`` holds this and the size bounds.  ``CnfMPrimeRelation``
+checks them at construction and builds its circuit and CNF on its first
+``check``, so a dealing fails early but compiles nothing.
 
 Gates are AND/OR/NOT/XOR over earlier wires; the builder constant-folds
 and deduplicates structurally, so instance constants never appear as
@@ -412,32 +415,30 @@ def decode_inner(structure: AccessStructure, bits):
 
 
 COMPILE_MAX_K = 8
-COMPILE_MAX_N = 12
-COMPILE_MAX_V = 5
+COMPILE_MAX_N = 12  # also bounds v: hamiltonian and matching have n = v(v-1)/2
 COMPILE_MAX_FREE = 16
 
 
-def compile_mprime(inst: MPrimeInstance, k: int | None = None) -> BooleanCircuit:
+def check_compilable(inst: MPrimeInstance) -> None:
+    """Raise ``ValueError`` unless ``compile_mprime(inst)`` can compile."""
+    crs, structure = inst.crs, inst.structure
+    if crs.expansion != "toy":
+        raise ValueError("only the 'toy' expansion is compilable; build the CRS with it")
+    if crs.k > COMPILE_MAX_K or inst.n > COMPILE_MAX_N:
+        raise ValueError(f"compile bounds exceeded (k <= {COMPILE_MAX_K}, n <= {COMPILE_MAX_N})")
+    if structure.kind == "monotone-circuit" and structure.payload.n_free > COMPILE_MAX_FREE:
+        raise ValueError(f"compile bounds exceeded (free inputs <= {COMPILE_MAX_FREE})")
+
+
+def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
     """Circuit accepting exactly the witnesses of ``mprime_verify``.
 
     Inputs: opening seeds (position-major, block-minor, low bit first),
     then n presence flags, then the inner-witness bits.
     """
-    crs = inst.crs
-    if crs.expansion != "toy":
-        raise ValueError("only the 'toy' expansion is compilable; build the CRS with it")
-    if k is not None and k != crs.k:
-        raise ValueError("k disagrees with the instance CRS")
-    k = crs.k
-    n, ell = inst.n, crs.ell
-    structure = inst.structure
-    if k > COMPILE_MAX_K or n > COMPILE_MAX_N:
-        raise ValueError(f"compile bounds exceeded (k <= {COMPILE_MAX_K}, n <= {COMPILE_MAX_N})")
-    if structure.kind in ("hamiltonian", "matching") and structure.payload > COMPILE_MAX_V:
-        raise ValueError(f"compile bounds exceeded (v <= {COMPILE_MAX_V})")
-    if structure.kind == "monotone-circuit" and structure.payload.n_free > COMPILE_MAX_FREE:
-        raise ValueError(f"compile bounds exceeded (free inputs <= {COMPILE_MAX_FREE})")
-
+    check_compilable(inst)
+    crs, structure = inst.crs, inst.structure
+    n, ell, k = inst.n, crs.ell, crs.k
     inner_len = inner_witness_width(structure)
     meta = CompileMeta(
         n=n, ell=ell, k=k, structure=structure,
@@ -526,17 +527,18 @@ class CnfMPrimeRelation:
     ``check`` also accepts a plain induced-language witness and lifts it
     through the witness-extension map, so the scheme's RECON flow is
     backend-agnostic.  The backend never searches; it only verifies.
-    The CNF is built on the first ``check``, so dealing never builds it.
+    The compile bounds are checked at construction; the circuit and its
+    CNF are built on the first ``check``, so dealing builds neither.
     """
 
-    def __init__(self, instance: MPrimeInstance, circuit: BooleanCircuit):
+    def __init__(self, instance: MPrimeInstance):
+        check_compilable(instance)
         self.instance = instance
-        self.circuit = circuit
         self._digest = instance.digest()
 
-    @classmethod
-    def compile(cls, instance: MPrimeInstance) -> "CnfMPrimeRelation":
-        return cls(instance, compile_mprime(instance))
+    @functools.cached_property
+    def circuit(self) -> BooleanCircuit:
+        return compile_mprime(self.instance)
 
     @functools.cached_property
     def cnf(self):
@@ -572,5 +574,5 @@ class CnfMPrimeRelation:
 
 we.register_relation_loader(
     "mprime-cnf",
-    lambda desc: CnfMPrimeRelation.compile(MPrimeInstance.from_json(desc["instance"])),
+    lambda desc: CnfMPrimeRelation(MPrimeInstance.from_json(desc["instance"])),
 )

@@ -123,12 +123,11 @@ def cmd_recon(args) -> int:
     inner = None
     if args.witness is not None:
         wobj = _load_json(args.witness)
-        if "openings" in wobj:
-            inner = witness_from_json(wobj, shares[0].header.crs).inner
-        else:
-            inner = wobj.get("inner")
-            if isinstance(inner, list):
-                inner = tuple(tuple(e) if isinstance(e, list) else e for e in inner)
+        # openings, when present, are parsed only to reject a malformed file
+        try:
+            inner = witness_from_json({"openings": [], **wobj}, shares[0].header.crs).inner
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.witness}: bad witness: {exc}") from exc
     secret = recon(shares, X, inner)
     if secret is None:
         print("reconstruction rejected: no valid witness", file=sys.stderr)

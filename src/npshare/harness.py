@@ -54,7 +54,7 @@ from .induced import MPrimeInstance
 from .rng import Stream, derive_seed
 from .scheme import Dealing, Share, ShareHeader, default_expansion, relation_for, setup, shares_of
 from .structures import AccessStructure, PartySet, evaluate
-from .we import leak_message, load_relation, parse_payload, we_encrypt
+from .we import leak_message, load_relation, we_encrypt
 
 
 def hoeffding_radius(trials: int, delta: float) -> float:
@@ -562,11 +562,6 @@ def leak_reader():
         return 1 if leaked == s1 else 0
 
     return D
-
-
-def instance_of_ciphertext(ct) -> MPrimeInstance:
-    """Recover the public instance embedded in a ciphertext payload."""
-    return MPrimeInstance.from_json(parse_payload(ct)["relation"]["instance"])
 
 
 def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS):

@@ -103,7 +103,7 @@ def relation_for(inst: MPrimeInstance, backend: str):
     if backend == "cnf":
         from .circuits import CnfMPrimeRelation
 
-        return CnfMPrimeRelation.compile(inst)
+        return CnfMPrimeRelation(inst)
     return MPrimeRelation(inst)
 
 

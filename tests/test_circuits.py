@@ -205,7 +205,7 @@ def test_lifted_witness_satisfies_cnf_iff_valid():
 def test_cnf_relation_accepts_both_witness_forms():
     structure = threshold_structure(3, 2)
     inst, openings = toy_instance(structure, 600)
-    rel = CnfMPrimeRelation.compile(inst)
+    rel = CnfMPrimeRelation(inst)
     wit = MPrimeWitness(openings=(openings[0], openings[1], None), inner=None)
     assert rel.check(wit) is True
     assignment = eval_wires(rel.circuit, lift_witness(rel.circuit, wit))

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,9 @@ from npshare.cli import (
     EXIT_REJECTED,
     main,
 )
+from npshare.rng import Stream
+from npshare.scheme import setup
+from npshare.structures import AccessStructure
 
 
 @pytest.fixture
@@ -159,6 +163,123 @@ def test_recon_with_witness_file(workdir):
                *(out / f"share_{i}.json" for i in (1, 3, 4, 6)))
     assert code == EXIT_OK
     assert dest.read_bytes() == b"four"
+
+
+@pytest.mark.parametrize("witness", [
+    '{"openings": [], "inner": 5}', '{"inner": 5}', '{"openings": 5}', '{"openings": [5]}',
+    '{"openings": null}', '{"openings": ["zz", null, null]}', "[1, 2]", '"x"', "null",
+])
+def test_recon_malformed_witness_exit_2(workdir, capsys, witness):
+    out = workdir / "deal"
+    run("deal", "--config", workdir / "cfg.json",
+        "--secret", workdir / "secret.bin", "--out", out)
+    capsys.readouterr()
+    (workdir / "wit.json").write_text(witness)
+    code = run("recon", "--parties", "1,2", "--witness", workdir / "wit.json",
+               "--out", workdir / "secret.out", out / "share_1.json", out / "share_2.json")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (workdir / "secret.out").exists()
+
+
+def _cnf_config(structure, **extra):
+    return {"structure": structure, "backend": "cnf", **extra}
+
+
+THRESHOLD_3_2 = {"kind": "threshold", "n": 3, "payload": 2}
+BOUNDS = "compile bounds exceeded (k <= 8, n <= 12)"
+
+
+@pytest.mark.parametrize("config, message", [
+    (_cnf_config(THRESHOLD_3_2, expansion="splitmix64"),
+     "only the 'toy' expansion is compilable; build the CRS with it"),
+    (_cnf_config(THRESHOLD_3_2, k=9), BOUNDS),
+    (_cnf_config({"kind": "threshold", "n": 13, "payload": 2}), BOUNDS),
+    (_cnf_config({"kind": "hamiltonian", "n": 15, "payload": 6}), BOUNDS),
+    (_cnf_config({"kind": "monotone-circuit", "n": 2,
+                  "payload": {"free": 17, "gates": [["or", 0, 1]], "output": 19}}),
+     "compile bounds exceeded (free inputs <= 16)"),
+], ids=["splitmix64", "k-9", "n-13", "hamiltonian-6-n-15", "free-17"])
+def test_cnf_deal_out_of_compile_bounds_exit_2(workdir, capsys, config, message):
+    # the bounds are checked when the dealing is made, although the
+    # circuit is compiled only on the first check
+    with pytest.raises(ValueError) as exc:
+        setup(AccessStructure.from_json(config["structure"]), b"four", Stream(1),
+              backend="cnf", k=config.get("k", 8), expansion=config.get("expansion"))
+    assert str(exc.value) == message
+    (workdir / "oob.json").write_text(json.dumps(config))
+    code = run("deal", "--config", workdir / "oob.json",
+               "--secret", workdir / "secret.bin", "--out", workdir / "deal")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "deal").exists()
+
+
+def test_cnf_deal_compiles_nothing(workdir, monkeypatch):
+    from npshare import circuits, cnf
+
+    compiles, tseitins = [], []
+    real_compile, real_tseitin = circuits.compile_mprime, cnf.tseitin
+    monkeypatch.setattr(circuits, "compile_mprime",
+                        lambda inst: compiles.append(inst) or real_compile(inst))
+    monkeypatch.setattr(cnf, "tseitin", lambda c: tseitins.append(c) or real_tseitin(c))
+    (workdir / "cnf.json").write_text(json.dumps(_cnf_config(THRESHOLD_3_2)))
+    out = workdir / "deal"
+    assert run("deal", "--config", workdir / "cnf.json",
+               "--secret", workdir / "secret.bin", "--out", out) == EXIT_OK
+    assert (len(compiles), len(tseitins)) == (0, 0)
+    assert run("recon", "--parties", "1,3", "--out", workdir / "secret.out",
+               out / "share_1.json", out / "share_3.json") == EXIT_OK
+    assert (len(compiles), len(tseitins)) == (1, 1)
+    assert (workdir / "secret.out").read_bytes() == b"four"
+
+
+def test_recon_cnf_relation_over_uncompilable_instance_exit_2(workdir, capsys):
+    # an idealized dealing relabelled as cnf: its splitmix64 instance
+    # cannot be compiled, so the embedded relation does not load
+    out = workdir / "deal"
+    run("deal", "--config", workdir / "cfg.json",
+        "--secret", workdir / "secret.bin", "--out", out)
+    paths = []
+    for i in (1, 2):
+        share = _decode_payload(json.loads((out / f"share_{i}.json").read_text()))
+        share["ciphertext"]["backend"] = "cnf"
+        share["ciphertext"]["payload"]["relation"]["type"] = "mprime-cnf"
+        paths.append(workdir / f"cnf_{i}.json")
+        paths[-1].write_text(json.dumps(_encode_payload(share)))
+    capsys.readouterr()
+    code = run("recon", "--parties", "1,2", "--out", workdir / "secret.out", *paths)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "'toy' expansion" in err
+    assert not (workdir / "secret.out").exists()
+
+
+# SHA-256 over the names and bytes of the files `npshare --seed 7 deal`
+# writes for a threshold(4,2) dealing of b"golden"; a change to any dealt
+# byte changes these on purpose or not at all
+GOLDEN_DEALINGS = {
+    "idealized": "262b5ed3b137d127f5604ae031e997cdcc874d22092f0acc3417b684c49b5baa",
+    "leaky": "5faf83acbfbf9cfc42b85507200df090f86bc7e3526bd93a44928b9f910c64e9",
+    "cnf": "8605ac39674c3a07d9283cfabaa6dee995ef7e1d46d0f452a8b714a6991fbe96",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(GOLDEN_DEALINGS))
+def test_deal_golden_digest(tmp_path, backend):
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 4, "payload": 2}, "backend": backend,
+    }))
+    (tmp_path / "secret.bin").write_bytes(b"golden")
+    out = tmp_path / "deal"
+    assert run("--seed", 7, "deal", "--config", tmp_path / "cfg.json",
+               "--secret", tmp_path / "secret.bin", "--out", out) == EXIT_OK
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        h.update(f"{path.name}\n{len(data)}\n".encode() + data)
+    assert h.hexdigest() == GOLDEN_DEALINGS[backend]
 
 
 def test_experiment_zero_trials_exit_2(workdir):

@@ -22,7 +22,6 @@ from npshare.harness import (
     hybrid_values,
     ind_game,
     ind_to_sem,
-    instance_of_ciphertext,
     leak_learner,
     leak_reader,
     mest,
@@ -293,7 +292,7 @@ def test_mest_boundary_exact_n_is_zero():
         leaked = leak_message(ct)
         assert leaked is not None
         b = 1 if leaked == s1 else 0
-        inst = instance_of_ciphertext(ct)
+        inst = we.load_relation(ct).instance
         probe = 3  # outside X
         is_a0 = find_opening(probe, inst.commitments[probe - 1], inst.crs) is not None
         if is_a0:

@@ -69,20 +69,24 @@ def test_recon_matching_cnf_backend():
 
 
 def test_cnf_backend_runs_tseitin_only_to_check(monkeypatch):
-    from npshare import cnf
+    from npshare import circuits, cnf
 
-    calls = []
-    real = cnf.tseitin
+    compiles, calls = [], []
+    real_compile, real = circuits.compile_mprime, cnf.tseitin
+    monkeypatch.setattr(circuits, "compile_mprime",
+                        lambda inst: compiles.append(inst) or real_compile(inst))
     monkeypatch.setattr(cnf, "tseitin", lambda circuit: calls.append(circuit) or real(circuit))
     mt = matching_structure(4)
     dealing = setup(mt, b"lazy", Stream(5), backend="cnf")
-    assert calls == []
+    assert (len(compiles), len(calls)) == (0, 0)
     X = PartySet.of(6, {edge_index(4, 1, 2), edge_index(4, 3, 4)})
     assert recon(shares_of(dealing, X), X, ((1, 2), (3, 4))) == b"lazy"
-    assert len(calls) == 1
+    assert (len(compiles), len(calls)) == (1, 1)
+    assert recon(shares_of(dealing, X), X, ((1, 2), (3, 4))) == b"lazy"
+    assert (len(compiles), len(calls)) == (1, 1)   # the dealt relation keeps both
     parsed = [share_parse(share_serialize(s)) for s in shares_of(dealing, X)]
     assert recon(parsed, X, ((1, 2), (3, 4))) == b"lazy"
-    assert len(calls) == 2   # the parsed relation is compiled afresh
+    assert (len(compiles), len(calls)) == (2, 2)   # the parsed relation is compiled afresh
 
 
 @pytest.mark.parametrize("backend", ["idealized", "leaky", "cnf"])
