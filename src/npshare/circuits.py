@@ -35,13 +35,14 @@ import functools
 from dataclasses import dataclass, field
 
 from .commitments import Opening
-from .induced import MPrimeInstance, MPrimeWitness, MPrimeRelation, instance_description
+from .induced import MPrimeInstance, MPrimeWitness, MPrimeRelation
 from .rng import GOLDEN, MIX1, MIX2
 from .structures import (
     AccessStructure,
     MonotoneCircuit,
     edge_index,
     edge_slots,
+    eval_gates,
     n_edge_parties,
     party_edge,
 )
@@ -184,18 +185,7 @@ def eval_wires(circuit: BooleanCircuit, inputs) -> list[bool]:
     """Values of every wire, inputs first (used for witness extension)."""
     if len(inputs) != circuit.n_inputs:
         raise ValueError(f"expected {circuit.n_inputs} inputs")
-    wires = [bool(x) for x in inputs]
-    for gate in circuit.gates:
-        op = gate[0]
-        if op == "and":
-            wires.append(wires[gate[1]] and wires[gate[2]])
-        elif op == "or":
-            wires.append(wires[gate[1]] or wires[gate[2]])
-        elif op == "xor":
-            wires.append(wires[gate[1]] ^ wires[gate[2]])
-        else:
-            wires.append(not wires[gate[1]])
-    return wires
+    return eval_gates(circuit.gates, [bool(x) for x in inputs])
 
 
 def eval_circuit(circuit: BooleanCircuit, inputs) -> bool:
@@ -521,7 +511,7 @@ def decode_witness(circuit: BooleanCircuit, assignment) -> MPrimeWitness:
     )
 
 
-class CnfMPrimeRelation:
+class CnfMPrimeRelation(MPrimeRelation):
     """Compiled relation: witnesses are satisfying CNF assignments.
 
     ``check`` also accepts a plain induced-language witness and lifts it
@@ -531,10 +521,11 @@ class CnfMPrimeRelation:
     CNF are built on the first ``check``, so dealing builds neither.
     """
 
+    tag = "mprime-cnf"
+
     def __init__(self, instance: MPrimeInstance):
         check_compilable(instance)
-        self.instance = instance
-        self._digest = instance.digest()
+        super().__init__(instance)
 
     @functools.cached_property
     def circuit(self) -> BooleanCircuit:
@@ -545,9 +536,6 @@ class CnfMPrimeRelation:
         from .cnf import tseitin
 
         return tseitin(self.circuit)
-
-    def instance_digest(self) -> str:
-        return self._digest
 
     def check(self, witness) -> bool:
         from .cnf import check_assignment
@@ -564,12 +552,6 @@ class CnfMPrimeRelation:
             if len(witness) < self.cnf.num_vars:
                 return False
         return check_assignment(self.cnf, witness)
-
-    def in_language(self) -> bool:
-        return MPrimeRelation(self.instance).in_language()
-
-    def describe(self) -> bytes:
-        return instance_description("mprime-cnf", self.instance)
 
 
 we.register_relation_loader(

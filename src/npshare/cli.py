@@ -52,6 +52,8 @@ def _load_json(path: str) -> dict:
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
@@ -63,6 +65,27 @@ EXPERIMENT_KEYS = DEAL_KEYS | {
     "distinguisher", "p_unqualified", "runs", "n", "planted_position",
     "planted_gap", "secret_bits",
 }
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _get(obj: dict, key: str, kind, default, ok=None, need: str = ""):
+    """``obj[key]``, or ``default`` when the key is absent, as a ``kind`` (an
+    int also passes as a float) that ``ok``, when given, accepts.  ``need``
+    names the accepted values; anything else is a ConfigError."""
+    value = obj.get(key, default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is bool or not isinstance(value, kind) or (ok and not ok(value)):
+        got = json.dumps(obj[key]) if key in obj else "no value"
+        raise ConfigError(f"{key} must be {need or _KIND_NAMES[kind]}, got {got}")
+    return value
+
+
+def _scheme_options(config: dict, backend: str) -> dict:
+    """The scheme's keyword options a config sets, ``backend`` by default."""
+    return {"k": _get(config, "k", int, 8), "lam": _get(config, "lam", int, 16),
+            "backend": _get(config, "backend", str, backend),
+            "expansion": _get(config, "expansion", (str, type(None)), None, need="a string")}
 
 
 def _parse_structure(obj) -> AccessStructure:
@@ -83,21 +106,14 @@ def _parse_parties(text: str, n: int) -> PartySet:
 def cmd_deal(args) -> int:
     config = _load_json(args.config)
     _check_keys(config, DEAL_KEYS, "deal config")
-    structure = _parse_structure(config["structure"])
-    seed = args.seed if args.seed is not None else config.get("master_seed", 0)
+    structure = _parse_structure(_get(config, "structure", dict, None))
+    seed = args.seed if args.seed is not None else _get(config, "master_seed", int, 0)
     with open(args.secret, "rb") as fh:
         secret = fh.read()
     if not secret:
         raise ConfigError("secret file is empty")
-    dealing = setup(
-        structure,
-        secret,
-        Stream(derive_seed(int(seed), 0)),
-        lam=int(config.get("lam", 16)),
-        k=int(config.get("k", 8)),
-        backend=config.get("backend", "idealized"),
-        expansion=config.get("expansion"),
-    )
+    dealing = setup(structure, secret, Stream(derive_seed(seed, 0)),
+                    **_scheme_options(config, "idealized"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     public = {"format": DEALING_FORMAT, "instance": dealing.public.to_json()}
@@ -159,22 +175,15 @@ def cmd_structure_check(args) -> int:
 
 
 def _experiment_context(config, seed) -> tuple:
-    structure = _parse_structure(config["structure"])
-    ctx = harness.SchemeContext.create(
-        structure,
-        seed=seed,
-        k=int(config.get("k", 8)),
-        backend=config.get("backend", "leaky"),
-        lam=int(config.get("lam", 16)),
-        expansion=config.get("expansion"),
-    )
-    secret_len = int(config.get("secret_len", 4))
-    sampler_cfg = config.get("sampler", {"kind": "mixed"})
-    if sampler_cfg.get("kind", "mixed") != "mixed":
-        raise ConfigError(f"unknown sampler kind {sampler_cfg.get('kind')!r}")
-    p_unq = float(sampler_cfg.get("p_unqualified", config.get("p_unqualified", 0.3)))
+    structure = _parse_structure(_get(config, "structure", dict, None))
+    ctx = harness.SchemeContext.create(structure, seed=seed, **_scheme_options(config, "leaky"))
+    secret_len = _get(config, "secret_len", int, 4)
+    sampler_cfg = _get(config, "sampler", dict, {"kind": "mixed"})
+    if _get(sampler_cfg, "kind", str, "mixed") != "mixed":
+        raise ConfigError(f"unknown sampler kind {sampler_cfg['kind']!r}")
+    p_unq = _get(sampler_cfg, "p_unqualified", float, _get(config, "p_unqualified", float, 0.3))
     sampler = harness.mixed_sampler(structure, p_unq, secret_len)
-    dname = config.get("distinguisher", "leak-reader")
+    dname = _get(config, "distinguisher", str, "leak-reader")
     if dname == "leak-reader":
         distinguisher = harness.leak_reader()
     elif dname == "constant-0":
@@ -187,12 +196,10 @@ def _experiment_context(config, seed) -> tuple:
 
 
 def _run_experiment(config, seed) -> dict:
-    game = config.get("game", "ind")
-    trials = int(config.get("trials", 1000))
-    if trials <= 0:
-        raise ConfigError("trials must be positive")
-    delta = float(config.get("delta", 0.01))
-    eps = float(config.get("epsilon", 0.3))
+    game = _get(config, "game", str, "ind")
+    trials = _get(config, "trials", int, 1000, lambda v: v > 0, "a positive integer")
+    delta = _get(config, "delta", float, 0.01, lambda v: 0 < v < 1, "a number in (0, 1)")
+    eps = _get(config, "epsilon", float, 0.3)
     if game == "ind":
         ctx, sampler, D, _ = _experiment_context(config, seed)
         report = harness.ind_game(ctx, sampler, D, trials, master_seed=seed, delta=delta)
@@ -207,9 +214,7 @@ def _run_experiment(config, seed) -> dict:
         return report.to_json()
     if game == "dprime":
         ctx, sampler, D, _ = _experiment_context(config, seed)
-        runs = config.get("runs", 50)
-        if type(runs) is not int or runs <= 0:
-            raise ConfigError(f"runs must be a positive integer, got {runs!r}")
+        runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
         c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs, lambda t: (
             derive_seed(seed, 2 * t), derive_seed(seed, 4_000_000 + t),
             derive_seed(seed, 2 * t + 1), derive_seed(seed, 5_000_000 + t)))
@@ -219,9 +224,10 @@ def _run_experiment(config, seed) -> dict:
             "gap": abs(c0 - c1) / runs,
         }
     if game == "hybrid":
-        n = int(config.get("n", 8))
-        position = int(config.get("planted_position", 3))
-        gap = float(config.get("planted_gap", 0.8))
+        n = _get(config, "n", int, 8, lambda v: v > 0, "a positive integer")
+        position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
+                        f"an integer in 1..{n}")
+        gap = _get(config, "planted_gap", float, 0.8)
         loc = harness.hybrid_locate(
             harness.position_detector(position, gap, n), n, trials,
             master_seed=seed, sample_source=harness.transparent_sample_source,
@@ -251,8 +257,8 @@ def cmd_experiment(args) -> int:
     _check_keys(config, EXPERIMENT_KEYS, "experiment config")
     if args.game is not None:
         config["game"] = args.game
-    seed = args.seed if args.seed is not None else int(config.get("master_seed", 0))
-    report = _run_experiment(config, int(seed))
+    seed = args.seed if args.seed is not None else _get(config, "master_seed", int, 0)
+    report = _run_experiment(config, seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

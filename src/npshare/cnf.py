@@ -53,23 +53,15 @@ def tseitin(circuit: BooleanCircuit) -> CNF:
         op = gate[0]
         a = gate[1] + 1
         if op == "not":
-            clauses.append((g, a))
-            clauses.append((-g, -a))
+            clauses += ((g, a), (-g, -a))
             continue
         b = gate[2] + 1
         if op == "and":
-            clauses.append((-g, a))
-            clauses.append((-g, b))
-            clauses.append((g, -a, -b))
+            clauses += ((-g, a), (-g, b), (g, -a, -b))
         elif op == "or":
-            clauses.append((g, -a))
-            clauses.append((g, -b))
-            clauses.append((-g, a, b))
+            clauses += ((g, -a), (g, -b), (-g, a, b))
         else:  # xor
-            clauses.append((-g, a, b))
-            clauses.append((-g, -a, -b))
-            clauses.append((g, -a, b))
-            clauses.append((g, a, -b))
+            clauses += ((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b))
     clauses.append((circuit.output + 1,))
     return CNF(base + len(circuit.gates), clauses)
 

@@ -4,9 +4,10 @@ This module turns the two security definitions (indistinguishability and
 unlearnability of the secret) and the whole reduction into runnable,
 seeded Monte-Carlo procedures:
 
-* :func:`dver` - one distinguishing trial: flip b, rebuild commitments
-  for the parties of X, keep the input commitments elsewhere, re-encrypt
-  secret b, and score whether D recovers b.
+* :func:`dver` - one distinguishing trial: flip b, deal secret b with
+  :meth:`SchemeContext.deal`'s substitution (fresh commitments for the
+  parties of X, the input commitments elsewhere), and score whether D
+  recovers b.
 * :func:`mest` - the Chernoff-style bias estimator: ceil(4n/eps)
   iterations, each running dver once on fresh commitments to 1..n and
   once on fresh commitments to n+1..2n; answers 1 iff |q0 - q1| > n
@@ -23,7 +24,9 @@ seeded Monte-Carlo procedures:
 * :func:`sem_to_ind` / :func:`ind_to_sem` - the definition-equivalence
   transformations, as executable adversary rewrites.
 
-Samplers and distinguishers are plain callables:
+Every experiment runs on a :class:`~npshare.scheme.SchemeContext`, the
+scheme pinned to one CRS, which this module re-exports.  Samplers and
+distinguishers are plain callables:
 
 * ind-sampler: ``rng -> (s0, s1, X, sigma)`` with |s0| = |s1|;
 * sem-sampler: ``rng -> (s, X, sigma)`` (:func:`sem_view` makes one
@@ -48,13 +51,11 @@ import math
 from dataclasses import dataclass, field
 
 from . import serde
-from .commitments import (CRS, Commitment, commit, commitment_list, crs_gen, find_opening,
-                          sample_opening)
-from .induced import MPrimeInstance
+from .commitments import CRS, find_opening
 from .rng import Stream, derive_seed
-from .scheme import Dealing, Share, ShareHeader, default_expansion, relation_for, setup, shares_of
+from .scheme import SchemeContext, shares_of
 from .structures import AccessStructure, PartySet, evaluate
-from .we import leak_message, load_relation, we_encrypt
+from .we import leak_message, load_relation
 
 
 def hoeffding_radius(trials: int, delta: float) -> float:
@@ -67,88 +68,13 @@ def qualified(structure: AccessStructure, X: PartySet) -> bool:
     return evaluate(structure, X, expensive=True)
 
 
-@dataclass
-class SchemeContext:
-    """A scheme pinned to one CRS, as the commitment games require."""
-
-    structure: AccessStructure
-    crs: CRS
-    lam: int = 16
-    backend: str = "idealized"
-
-    def __post_init__(self):
-        if self.crs.n != self.structure.n:
-            raise ValueError("CRS and structure disagree on n")
-        self._header = ShareHeader(
-            n=self.structure.n, structure_digest=self.structure.digest(), crs=self.crs
-        )
-
-    @classmethod
-    def create(cls, structure: AccessStructure, seed: int, *, k: int = 8,
-               backend: str = "idealized", lam: int = 16,
-               expansion: str | None = None) -> "SchemeContext":
-        crs = crs_gen(structure.n, k, Stream(derive_seed(seed, 0xC125)),
-                      expansion=expansion or default_expansion(backend))
-        return cls(structure=structure, crs=crs, lam=lam, backend=backend)
-
-    @property
-    def n(self) -> int:
-        return self.structure.n
-
-    @property
-    def header(self) -> ShareHeader:
-        return self._header
-
-    def deal(self, secret: bytes, rng: Stream) -> Dealing:
-        return setup(
-            self.structure, secret, rng,
-            lam=self.lam, backend=self.backend, crs=self.crs,
-        )
-
-    def a0_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
-        return commitment_list(range(1, self.n + 1), self.crs, rng)
-
-    def a1_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
-        return commitment_list(range(self.n + 1, 2 * self.n + 1), self.crs, rng)
-
-    def encrypt(self, inst: MPrimeInstance, secret: bytes, rng: Stream):
-        return we_encrypt(self.backend, self.lam, relation_for(inst, self.backend), secret, rng)
-
-
-def build_substituted_shares(commitments, X: PartySet, secret: bytes,
-                             scheme: SchemeContext, rng: Stream):
-    """The share-construction inside dver.
-
-    Commits party i afresh when p_i is in X, keeps the input commitment
-    otherwise, encrypts ``secret`` against the substituted instance, and
-    returns (instance, shares of X).  Draw order is pinned: one opening's
-    worth of words for each of parties 1..n (drawn and dropped outside
-    X), then the encryption randomness.
-    """
-    n, crs = scheme.n, scheme.crs
-    coms, openings = list(commitments), {}
-    if len(coms) != n:
-        raise ValueError(f"expected {n} input commitments")
-    for i in range(1, n + 1):
-        if i in X:
-            openings[i] = sample_opening(crs, rng)
-            coms[i - 1] = commit(i, openings[i], crs)
-        else:
-            for _ in range(crs.ell * -(-crs.k // 64)):  # the draws of one sample_opening
-                rng.next64()
-    inst = MPrimeInstance(crs=crs, commitments=tuple(coms), structure=scheme.structure)
-    ct = scheme.encrypt(inst, secret, rng)
-    return inst, tuple(Share(party=i, opening=op, ciphertext=ct, header=scheme.header)
-                       for i, op in openings.items())
-
-
 def dver(commitments, s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext,
          D, rng: Stream, sigma: bytes = b"") -> int:
     """One distinguishing trial; 1 iff D recovers the encrypted index b.
 
-    Draw order is unchanged: b, build_substituted_shares' draws, then D's."""
+    Draw order is pinned: b, then ``scheme.deal``'s draws, then D's."""
     b = rng.bit()
-    _, shares_x = build_substituted_shares(commitments, X, s1 if b else s0, scheme, rng)
+    shares_x = scheme.deal(s1 if b else s0, rng, commitments, X).shares
     return 1 if D(s0, s1, shares_x, sigma, rng) == b else 0
 
 
@@ -227,7 +153,13 @@ class GameReport:
 
 
 def _report(game: str, trials: int, count0: int, count1: int, delta: float,
-            master_seed: int, extra: dict) -> GameReport:
+            master_seed: int, mx0: int | None = None) -> GameReport:
+    """A game's report; a game conditioned on M(X) = 0 passes ``mx0``, its
+    number of trials with M(X) = 0, and gets the conditioned estimate too."""
+    extra = {} if mx0 is None else {
+        "mx0_trials": mx0,
+        "advantage_conditioned": (abs(count0 - count1) / mx0) if mx0 else 0.0,
+    }
     return GameReport(
         game=game, trials=trials, count0=count0, count1=count1,
         advantage=abs(count0 - count1) / trials,
@@ -237,17 +169,16 @@ def _report(game: str, trials: int, count0: int, count1: int, delta: float,
 
 
 def bias_estimate(s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext, D,
-                  trials: int, master_seed: int, delta: float = 0.01,
-                  sigma: bytes = b"") -> GameReport:
+                  trials: int, master_seed: int, delta: float = 0.01) -> GameReport:
     """Monte-Carlo estimate of dver's advantage for recognizing Z = A0."""
     if trials < 100:
         raise ValueError("bias estimation needs at least 100 trials")
     count0 = count1 = 0
     for t in range(trials):
         rng = Stream(derive_seed(master_seed, t))
-        count0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
-        count1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
-    return _report("bias", trials, count0, count1, delta, master_seed, {})
+        count0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng)
+        count1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng)
+    return _report("bias", trials, count0, count1, delta, master_seed)
 
 
 def ind_game(scheme: SchemeContext, sampler, D, trials: int, master_seed: int,
@@ -277,11 +208,7 @@ def ind_game(scheme: SchemeContext, sampler, D, trials: int, master_seed: int,
         dealing1 = scheme.deal(s1, rng)
         if D(s0, s1, shares_of(dealing1, X), sigma, rng) == 1 and unqualified:
             count1 += 1
-    extra = {
-        "mx0_trials": mx0,
-        "advantage_conditioned": (abs(count0 - count1) / mx0) if mx0 else 0.0,
-    }
-    return _report("ind", trials, count0, count1, delta, master_seed, extra)
+    return _report("ind", trials, count0, count1, delta, master_seed, mx0)
 
 
 def sem_game(scheme: SchemeContext, sampler, learner, simulator, f, trials: int,
@@ -303,11 +230,7 @@ def sem_game(scheme: SchemeContext, sampler, learner, simulator, f, trials: int,
             count0 += 1
         if simulator(X, sigma, rng) == target and unqualified:
             count1 += 1
-    extra = {
-        "mx0_trials": mx0,
-        "advantage_conditioned": (abs(count0 - count1) / mx0) if mx0 else 0.0,
-    }
-    return _report("sem", trials, count0, count1, delta, master_seed, extra)
+    return _report("sem", trials, count0, count1, delta, master_seed, mx0)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +423,8 @@ def mixed_sampler(structure: AccessStructure, p_unqualified: float, secret_len: 
     Requires every singleton to be unqualified and the full set to be
     qualified, which holds for all shipped structures of interest.
     """
+    if secret_len < 1 or not 0 <= p_unqualified <= 1:
+        raise ValueError("mixed_sampler needs secret_len >= 1 and p_unqualified in [0, 1]")
     n = structure.n
     if not qualified(structure, PartySet.full(n)):
         raise ValueError("full party set must be qualified")
@@ -627,6 +552,8 @@ def position_detector(j: int, gap: float, n: int):
     """List distinguisher that looks at position j only (for the mock
     source): accepts with probability 1/2 + gap/2 while the position
     still carries a low value, 1/2 - gap/2 after the hybrid swaps it."""
+    if not (1 <= j <= n and 0 <= gap <= 1):
+        raise ValueError(f"position_detector needs j in 1..n = 1..{n} and gap in [0, 1]")
     hi = int((0.5 + gap / 2) * (1 << 53))
     lo = int((0.5 - gap / 2) * (1 << 53))
 

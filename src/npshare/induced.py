@@ -133,22 +133,20 @@ def openable_positions(inst: MPrimeInstance) -> dict[int, Opening]:
     return found
 
 
-def exhaustive_witness_search(
-    inst: MPrimeInstance, k: int | None = None, witness_budget: int = 250_000
-) -> MPrimeWitness | None:
+WITNESS_BUDGET = 250_000  # inner witnesses exhaustive search may enumerate
+
+
+def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
     """A witness iff one exists; sound and complete at desk scale.
 
     Per position, block-wise commitment inversion needs ell * 2^k work
     (refused above k = 10).  The inner witness is then searched over the
     maximal openable set, which is exhaustive since all shipped
-    verifiers are monotone in the party set.  ``k``, when given, must
-    agree with the instance CRS.
+    verifiers are monotone in the party set.
     """
-    if k is not None and k != inst.crs.k:
-        raise ValueError("k disagrees with the instance CRS")
     if inst.crs.k > 10:
         raise ValueError("exhaustive search limited to k <= 10")
-    if witness_space_size(inst.structure) > witness_budget:
+    if witness_space_size(inst.structure) > WITNESS_BUDGET:
         raise ValueError("inner-witness space exceeds the search budget")
     openable = openable_positions(inst)
     x_star = PartySet.of(inst.n, openable)
@@ -160,14 +158,11 @@ def exhaustive_witness_search(
     return None
 
 
-def instance_description(tag: str, inst: MPrimeInstance) -> bytes:
-    """Canonical JSON of ``{"instance": inst.to_json(), "type": tag}``,
-    spliced around the instance's pre-rendered bytes."""
-    return b'{"instance":' + inst.canonical_bytes + f',"type":"{tag}"}}'.encode("ascii")
-
-
 class MPrimeRelation:
-    """Relation wrapper handed to the witness-encryption backends."""
+    """Relation wrapper handed to the witness-encryption backends; ``tag``
+    names the relation loader that rebuilds it from :meth:`describe`."""
+
+    tag = "mprime"
 
     def __init__(self, instance: MPrimeInstance):
         self.instance = instance
@@ -188,7 +183,10 @@ class MPrimeRelation:
         return self._in_language
 
     def describe(self) -> bytes:
-        return instance_description("mprime", self.instance)
+        """Canonical JSON of ``{"instance": ..., "type": tag}``, spliced
+        around the instance's pre-rendered bytes."""
+        return (b'{"instance":' + self.instance.canonical_bytes
+                + f',"type":"{self.tag}"}}'.encode("ascii"))
 
 
 we.register_relation_loader(

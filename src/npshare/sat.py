@@ -27,10 +27,13 @@ class BudgetExceeded(ValueError):
     pass
 
 
-def enumerate_sat(cnf: CNF, var_limit: int = 20):
+ENUMERATION_MAX_VARS = 20
+
+
+def enumerate_sat(cnf: CNF):
     """First satisfying assignment in lexicographic order, or None."""
-    if cnf.num_vars > var_limit:
-        raise BudgetExceeded(f"enumeration limited to {var_limit} variables")
+    if cnf.num_vars > ENUMERATION_MAX_VARS:
+        raise BudgetExceeded(f"enumeration limited to {ENUMERATION_MAX_VARS} variables")
     for packed in range(1 << cnf.num_vars):
         assignment = [bool((packed >> i) & 1) for i in range(cnf.num_vars)]
         if check_assignment(cnf, assignment):

@@ -6,6 +6,10 @@ party i the pair (opening_i, ciphertext).  RECON rebuilds the
 induced-language witness from the openings of a subset X (absent
 elsewhere) plus an inner witness that X is qualified, and decrypts.
 
+:meth:`SchemeContext.deal`, on the scheme pinned to one CRS, is the one
+share construction: SETUP and the harness's dver both deal through it,
+so under Z = A0 dver's shares are SETUP's by construction.
+
 The commitment vector (the public instance) is emitted alongside the
 shares rather than inside each share; every share carries a header with
 the CRS and a structure digest, checked against the ciphertext's instance.
@@ -17,9 +21,10 @@ from dataclasses import dataclass
 import json
 
 from . import serde
-from .commitments import CRS, Opening, commit, crs_gen, sample_opening
+from .commitments import (CRS, Commitment, Opening, commit, commitment_list, crs_gen,
+                          sample_opening)
 from .induced import MPrimeInstance, MPrimeRelation, assemble_witness
-from .rng import Stream
+from .rng import Stream, derive_seed
 from .structures import AccessStructure, PartySet
 from .we import WECiphertext, load_relation, we_decrypt, we_encrypt
 
@@ -112,6 +117,72 @@ def default_expansion(backend: str) -> str:
     return "toy" if backend == "cnf" else "splitmix64"
 
 
+@dataclass
+class SchemeContext:
+    """The scheme pinned to one CRS, as SETUP and the commitment games use it."""
+
+    structure: AccessStructure
+    crs: CRS
+    lam: int = 16
+    backend: str = "idealized"
+
+    def __post_init__(self):
+        if self.crs.n != self.structure.n:
+            raise ValueError("CRS and structure disagree on n")
+        self.header = ShareHeader(
+            n=self.structure.n, structure_digest=self.structure.digest(), crs=self.crs
+        )
+
+    @classmethod
+    def create(cls, structure: AccessStructure, seed: int, *, k: int = 8,
+               backend: str = "idealized", lam: int = 16,
+               expansion: str | None = None) -> "SchemeContext":
+        crs = crs_gen(structure.n, k, Stream(derive_seed(seed, 0xC125)),
+                      expansion=expansion or default_expansion(backend))
+        return cls(structure=structure, crs=crs, lam=lam, backend=backend)
+
+    @property
+    def n(self) -> int:
+        return self.structure.n
+
+    def deal(self, secret: bytes, rng: Stream, commitments=None,
+             X: PartySet | None = None) -> Dealing:
+        """Deal ``secret``.  Draws, in order: an opening for each of parties
+        1..n (ell seeds each, low block first), then the encryption
+        randomness; party i is committed to i.  Given input ``commitments``
+        and ``X`` (read only with them), a party outside X keeps its input
+        commitment and gets no share, and its opening's words are dropped."""
+        if not secret:
+            raise ValueError("secret must be non-empty")
+        n, crs = self.n, self.crs
+        if commitments is None:
+            commitments, X = (None,) * n, PartySet.full(n)
+        if len(commitments) != n:
+            raise ValueError(f"expected {n} input commitments")
+        coms, members, openings = list(commitments), X.members, {}
+        for i in range(1, n + 1):
+            if i in members:
+                openings[i] = sample_opening(crs, rng)
+                coms[i - 1] = commit(i, openings[i], crs)
+            else:
+                for _ in range(crs.ell * -(-crs.k // 64)):  # the draws of one sample_opening
+                    rng.next64()
+        inst = MPrimeInstance(crs=crs, commitments=tuple(coms), structure=self.structure)
+        ct = self.encrypt(inst, secret, rng)
+        return Dealing(public=inst, shares=tuple(
+            Share(party=i, opening=op, ciphertext=ct, header=self.header)
+            for i, op in openings.items()))
+
+    def a0_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
+        return commitment_list(range(1, self.n + 1), self.crs, rng)
+
+    def a1_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
+        return commitment_list(range(self.n + 1, 2 * self.n + 1), self.crs, rng)
+
+    def encrypt(self, inst: MPrimeInstance, secret: bytes, rng: Stream):
+        return we_encrypt(self.backend, self.lam, relation_for(inst, self.backend), secret, rng)
+
+
 def setup(
     structure: AccessStructure,
     secret: bytes,
@@ -123,29 +194,14 @@ def setup(
     crs: CRS | None = None,
     expansion: str | None = None,
 ) -> Dealing:
-    """Deal ``secret`` for ``structure``; deterministic under a seeded rng.
-
-    Draw order is pinned: openings for parties 1..n (ell seeds each, low
-    block first), then the backend's encryption randomness.  The CNF
-    backend defaults to the circuit-friendly "toy" expansion so the
-    compiled relation matches the native commitments.
-    """
-    if not secret:
-        raise ValueError("secret must be non-empty")
+    """Deal ``secret`` for ``structure`` through :meth:`SchemeContext.deal`,
+    on a CRS drawn first unless ``crs`` is given.  The CNF backend defaults
+    to the "toy" expansion, the one its compiled relation matches."""
     if crs is None:
         crs = crs_gen(structure.n, k, rng, expansion=expansion or default_expansion(backend))
     elif crs.n != structure.n:
         raise ValueError("provided CRS is for a different party count")
-    openings = [sample_opening(crs, rng) for _ in range(structure.n)]
-    coms = tuple(commit(i + 1, op, crs) for i, op in enumerate(openings))
-    inst = MPrimeInstance(crs=crs, commitments=coms, structure=structure)
-    ct = we_encrypt(backend, lam, relation_for(inst, backend), secret, rng)
-    header = ShareHeader(n=structure.n, structure_digest=structure.digest(), crs=crs)
-    shares = tuple(
-        Share(party=i + 1, opening=openings[i], ciphertext=ct, header=header)
-        for i in range(structure.n)
-    )
-    return Dealing(shares=shares, public=inst)
+    return SchemeContext(structure, crs, lam, backend).deal(secret, rng)
 
 
 def shares_of(dealing: Dealing, X: PartySet) -> tuple[Share, ...]:

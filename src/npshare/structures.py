@@ -25,6 +25,7 @@ invalidates a witness.  The induced-language search relies on this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -102,6 +103,22 @@ def party_edge(v: int, party: int) -> tuple[int, int]:
     return edge_slots(v)[party - 1]
 
 
+def eval_gates(gates, wires: list) -> list:
+    """``wires`` extended by the value of each gate, ("and", a, b), ("or", a,
+    b), ("xor", a, b) or ("not", a) over earlier wires, in turn."""
+    for gate in gates:
+        op = gate[0]
+        if op == "and":
+            wires.append(wires[gate[1]] and wires[gate[2]])
+        elif op == "or":
+            wires.append(wires[gate[1]] or wires[gate[2]])
+        elif op == "xor":
+            wires.append(wires[gate[1]] ^ wires[gate[2]])
+        else:
+            wires.append(not wires[gate[1]])
+    return wires
+
+
 @dataclass(frozen=True)
 class MonotoneCircuit:
     """Monotone non-deterministic circuit payload.
@@ -138,14 +155,7 @@ class MonotoneCircuit:
         if len(std_bits) != self.n_std or len(free_bits) != self.n_free:
             raise ValueError("input width mismatch")
         wires = [bool(b) for b in std_bits] + [bool(b) for b in free_bits]
-        for gate in self.gates:
-            if gate[0] == "and":
-                wires.append(wires[gate[1]] and wires[gate[2]])
-            elif gate[0] == "or":
-                wires.append(wires[gate[1]] or wires[gate[2]])
-            else:
-                wires.append(not wires[gate[1]])
-        return wires[self.output]
+        return eval_gates(self.gates, wires)[self.output]
 
     def to_json(self) -> dict:
         return {
@@ -328,14 +338,8 @@ def witness_space_size(structure: AccessStructure) -> int:
         return 1 << structure.payload.n_free
     v = structure.payload
     if kind == "hamiltonian":
-        out = 1
-        for i in range(2, v):
-            out *= i
-        return out
-    out = 1
-    for i in range(v - 1, 0, -2):
-        out *= i
-    return out
+        return math.factorial(v - 1)  # cycles through vertex 1
+    return math.prod(range(v - 1, 0, -2))  # perfect matchings of K_v
 
 
 def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -> bool:

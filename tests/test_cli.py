@@ -289,6 +289,34 @@ def test_experiment_zero_trials_exit_2(workdir):
     assert run("experiment", "ind", "--config", workdir / "z.json") == EXIT_CONFIG
 
 
+THRESHOLD3 = {"structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend": "leaky"}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("deal", {}),
+    ("deal", 5),
+    ("deal", None),
+    ("deal", {**THRESHOLD3, "k": [1]}),
+    ("experiment", {}),
+    ("experiment", {**THRESHOLD3, "k": [1]}),
+    ("experiment", {**THRESHOLD3, "delta": None}),
+    ("experiment", {**THRESHOLD3, "delta": 0}),
+    ("experiment", {**THRESHOLD3, "sampler": 5}),
+    ("experiment", {**THRESHOLD3, "sampler": {"kind": "mixed", "p_unqualified": [1]}}),
+    ("experiment", {"game": "hybrid", "n": 0}),
+    ("experiment", {"game": "hybrid", "n": 4, "planted_position": 9}),
+], ids=["deal-no-structure", "deal-number", "deal-null", "deal-k-list", "experiment-empty",
+        "k-list", "delta-null", "delta-0", "sampler-number", "p_unqualified-list",
+        "hybrid-n-0", "hybrid-position-9"])
+def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config):
+    (workdir / "bad.json").write_text(json.dumps(config))
+    argv = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if command == "deal" else ()
+    assert run(command, "--config", workdir / "bad.json", *argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]+\n", captured.err), captured.err
+
+
 @pytest.mark.parametrize("runs", [0, -2, True])
 def test_experiment_dprime_bad_runs_exit_2(workdir, capsys, runs):
     (workdir / "r.json").write_text(json.dumps({

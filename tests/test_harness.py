@@ -9,7 +9,6 @@ from npshare import harness, serde, we
 from npshare.harness import (
     SchemeContext,
     bias_estimate,
-    build_substituted_shares,
     constant_distinguisher,
     dictator,
     dictator_diff,
@@ -103,10 +102,10 @@ def test_dver_full_set_ignores_input_commitments(leaky6):
         out_b = dver(coms_b, S0, S1, X, leaky6, D, rng_b)
         assert out_a == out_b
         # construction paths agree byte for byte as well
-        inst_a, shares_a = build_substituted_shares(coms_a, X, S0, leaky6, Stream(seed))
-        inst_b, shares_b = build_substituted_shares(coms_b, X, S0, leaky6, Stream(seed))
-        assert inst_a == inst_b
-        assert [s.to_json() for s in shares_a] == [s.to_json() for s in shares_b]
+        dealing_a = leaky6.deal(S0, Stream(seed), coms_a, X)
+        dealing_b = leaky6.deal(S0, Stream(seed), coms_b, X)
+        assert dealing_a.public == dealing_b.public
+        assert [s.to_json() for s in dealing_a.shares] == [s.to_json() for s in dealing_b.shares]
 
 
 def test_dver_share_distribution_identity_under_a0():
@@ -128,7 +127,7 @@ def test_dver_share_distribution_identity_under_a0():
     rec = RecordingStream(42)
     b = rec.bit()
     secret = S1 if b else S0
-    inst_d, shares_d = build_substituted_shares(com_inputs, X, secret, ctx, rec)
+    dealing_d = ctx.deal(secret, rec, com_inputs, X)
 
     # SETUP tape: party 1 <- input opening s_1, parties 2,3 <- dver's r_2, r_3,
     # then the encryption key word.
@@ -138,9 +137,9 @@ def test_dver_share_distribution_identity_under_a0():
         + rec.words[1 + 3 * ell :]
     )
     honest = setup(structure, secret, TapeStream(tape), backend="idealized", crs=ctx.crs)
-    assert honest.public == inst_d
+    assert honest.public == dealing_d.public
     honest_x = shares_of(honest, X)
-    assert [s.to_json() for s in honest_x] == [s.to_json() for s in shares_d]
+    assert [s.to_json() for s in honest_x] == [s.to_json() for s in dealing_d.shares]
 
 
 def test_dver_share_bytes_chi2_two_sample():
@@ -156,7 +155,7 @@ def test_dver_share_bytes_chi2_two_sample():
         counts[0][shares_of(dealing, X)[0].opening.seeds[0] & 0xFF] += 1
         rng2 = Stream(derive_seed(0xAC, t))
         coms = ctx.a0_commitments(rng2)
-        _, shares_d = build_substituted_shares(coms, X, S0, ctx, rng2)
+        shares_d = ctx.deal(S0, rng2, coms, X).shares
         counts[1][shares_d[0].opening.seeds[0] & 0xFF] += 1
     stat = sum((a - b) ** 2 / (a + b) for a, b in zip(*counts) if a + b)
     dof = sum(1 for a, b in zip(*counts) if a + b) - 1
@@ -164,7 +163,8 @@ def test_dver_share_bytes_chi2_two_sample():
 
 
 def reference_substituted_shares(commitments, X, secret, scheme, rng):
-    """build_substituted_shares as it was: an opening for every party."""
+    """dver's share construction as it was before it skipped the openings
+    outside X: an opening for every party."""
     openings = [sample_opening(scheme.crs, rng) for _ in range(scheme.n)]
     coms = tuple(
         commit(i, openings[i - 1], scheme.crs) if i in X else commitments[i - 1]
@@ -183,6 +183,7 @@ def reference_substituted_shares(commitments, X, secret, scheme, rng):
     ("cnf", 4, 8),
 ])
 def test_build_substituted_shares_equals_per_opening_reference(backend, k, trials):
+    """SchemeContext.deal's substitution equals the per-opening reference."""
     n = 5
     ctx = SchemeContext.create(threshold_structure(n, 2), seed=k, backend=backend, k=k)
     for t in range(trials):
@@ -191,10 +192,10 @@ def test_build_substituted_shares_equals_per_opening_reference(backend, k, trial
         X = PartySet.of(n, (set(), set(range(1, n + 1)), members)[min(t, 2)])
         coms = (ctx.a0_commitments, ctx.a1_commitments)[t % 2](picker)
         fast, reference = Stream(t), Stream(t)
-        inst, shares = build_substituted_shares(coms, X, S1, ctx, fast)
+        dealing = ctx.deal(S1, fast, coms, X)
         ref_inst, ref_shares = reference_substituted_shares(coms, X, S1, ctx, reference)
-        assert inst == ref_inst
-        assert [s.to_json() for s in shares] == [s.to_json() for s in ref_shares]
+        assert dealing.public == ref_inst
+        assert [s.to_json() for s in dealing.shares] == [s.to_json() for s in ref_shares]
         assert fast.state == reference.state
 
 
@@ -217,6 +218,24 @@ def test_dver_draws_an_opening_per_party_before_encryption(leaky6, members):
     ctx.encrypt = encrypt
     dver(leaky6.a1_commitments(Stream(4)), S0, S1, X, ctx, D, rec)
     assert marks == [1 + 6 * ell]
+
+
+@pytest.mark.parametrize("backend,k", [
+    ("leaky", 8), ("idealized", 8), ("idealized", 13), ("cnf", 8),
+])
+def test_deal_with_every_party_substituted_is_setup(backend, k):
+    """With X the full set the input commitments are all replaced, so the
+    substituted dealing is SETUP's on the same stream, draw for draw."""
+    n = 5
+    ctx = SchemeContext.create(threshold_structure(n, 2), seed=k, backend=backend, k=k)
+    for t in range(4):
+        coms = (ctx.a0_commitments, ctx.a1_commitments)[t % 2](Stream(derive_seed(0x5E, t)))
+        substituted, dealt = Stream(t), Stream(t)
+        dealing = ctx.deal(S1, substituted, coms, PartySet.full(n))
+        honest = setup(ctx.structure, S1, dealt, backend=backend, crs=ctx.crs)
+        assert dealing.public == honest.public
+        assert [s.to_json() for s in dealing.shares] == [s.to_json() for s in honest.shares]
+        assert substituted.state == dealt.state
 
 
 def test_mest_and_dprime_answers_are_golden(monkeypatch):
@@ -398,6 +417,12 @@ def test_qualified_agrees_with_evaluate_and_cache_is_bounded():
             X = PartySet.from_bits([(packed >> i) & 1 for i in range(structure.n)])
             assert qualified(structure, X) == evaluate(structure, X, expensive=True)
             assert qualified(structure, X) == evaluate(structure, X, expensive=True)  # cached
+
+
+def test_mixed_sampler_rejects_empty_secrets(leaky6):
+    # two empty secrets never differ, so drawing s1 != s0 would never end
+    with pytest.raises(ValueError, match="secret_len"):
+        mixed_sampler(leaky6.structure, 0.3, 0)
 
 
 def test_ind_game_constant_d_zero_advantage(leaky6):
