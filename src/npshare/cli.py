@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import harness, serde
@@ -63,7 +64,7 @@ DEAL_KEYS = {"structure", "k", "lam", "backend", "expansion", "master_seed"}
 EXPERIMENT_KEYS = DEAL_KEYS | {
     "game", "epsilon", "trials", "delta", "secret_len", "sampler",
     "distinguisher", "p_unqualified", "runs", "n", "planted_position",
-    "planted_gap", "secret_bits",
+    "planted_gap",
 }
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
@@ -83,7 +84,8 @@ def _get(obj: dict, key: str, kind, default, ok=None, need: str = ""):
 
 def _scheme_options(config: dict, backend: str) -> dict:
     """The scheme's keyword options a config sets, ``backend`` by default."""
-    return {"k": _get(config, "k", int, 8), "lam": _get(config, "lam", int, 16),
+    return {"k": _get(config, "k", int, 8, lambda v: 4 <= v <= 64, "an integer in 4..64"),
+            "lam": _get(config, "lam", int, 16),
             "backend": _get(config, "backend", str, backend),
             "expansion": _get(config, "expansion", (str, type(None)), None, need="a string")}
 
@@ -270,6 +272,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@cache  # built on the first call, reused by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npshare",
@@ -282,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_deal.add_argument("--config", required=True)
     p_deal.add_argument("--secret", required=True, help="file with the raw secret bytes")
     p_deal.add_argument("--out", required=True, help="output directory")
-    p_deal.set_defaults(fn=cmd_deal)
+    p_deal.set_defaults(fn="cmd_deal")
 
     p_recon = sub.add_parser("recon", help="reconstruct from share files")
     p_recon.add_argument("--parties", required=True, help="e.g. '1,3'")
     p_recon.add_argument("--witness", default=None, help="witness JSON file")
     p_recon.add_argument("--out", default=None, help="write the secret here instead of stdout")
     p_recon.add_argument("shares", nargs="+", help="share_i.json files")
-    p_recon.set_defaults(fn=cmd_recon)
+    p_recon.set_defaults(fn="cmd_recon")
 
     p_struct = sub.add_parser("structure", help="structure tools")
     struct_sub = p_struct.add_subparsers(dest="action", required=True)
@@ -297,23 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--structure", required=True, help="structure JSON file")
     p_check.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_check.add_argument("--trials", type=int, default=1000)
-    p_check.set_defaults(fn=cmd_structure_check)
+    p_check.set_defaults(fn="cmd_structure_check")
 
     p_exp = sub.add_parser("experiment", help="run a harness experiment from a config")
     p_exp.add_argument("game", nargs="?", default=None,
                        choices=("ind", "sem", "dprime", "hybrid", "equiv"))
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", default=None, help="also write the report JSON here")
-    p_exp.set_defaults(fn=cmd_experiment)
+    p_exp.set_defaults(fn="cmd_experiment")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)  # looked up now, so a rebound cmd_* applies
     except MixedDealingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MIXED

@@ -112,6 +112,15 @@ class CRS:
         return tuple((self.bits >> (j * self.block_bits)) & mask for j in range(self.ell))
 
     @cached_property
+    def value_masks(self) -> tuple[int, ...]:
+        """Per value v in [0, 2n], the CRS blocks at v's set bits, each at
+        its block's offset: a commitment to v is this XOR the PRG outputs."""
+        width = self.block_bits
+        return tuple(
+            sum(block << (j * width) for j, block in enumerate(self.blocks) if (v >> j) & 1)
+            for v in range(2 * self.n + 1))
+
+    @cached_property
     def prg_table(self) -> tuple[tuple[int, ...], dict] | None:
         """All 2^k expansion outputs and their preimage map, for k <= 12."""
         return _prg_table(self.expansion, self.k) if self.k <= 12 else None
@@ -225,16 +234,34 @@ def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
 def commitment_list(values, crs: CRS, rng: Stream) -> tuple[Commitment, ...]:
     """``tuple(commit(v, sample_opening(crs, rng), crs) for v in values)``: the
     same draws and commitments in one loop, building no openings."""
+    return _draw_and_commit(values, crs, rng, None)
+
+
+def _draw_and_commit(values, crs: CRS, rng: Stream,
+                     openings: dict | None) -> tuple[Commitment | None, ...]:
+    """The loop of :func:`commitment_list`, which ``SchemeContext.deal``
+    shares: a value of None draws one opening's words and commits nothing
+    (None in its place), and given a dict ``openings`` each committed
+    value's opening is stored under the value."""
     draw = rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)
-    mask, top, width = (1 << crs.k) - 1, 2 * crs.n, crs.block_bits
+    mask, top, blocks, value_masks = (1 << crs.k) - 1, 2 * crs.n, crs.blocks, crs.value_masks
     prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
+    shifts = range(0, len(blocks) * crs.block_bits, crs.block_bits)
     coms = []
     for value in values:
+        if value is None:
+            for _ in blocks:
+                draw()
+            coms.append(None)
+            continue
         if not 1 <= value <= top:
             raise ValueError(f"value {value} outside [2n] = [1, {top}]")
-        bits = 0
-        for j, crs_block in enumerate(crs.blocks):
-            bits |= (prg(draw() & mask) ^ crs_block * ((value >> j) & 1)) << (j * width)
+        seeds = [draw() & mask for _ in blocks]
+        bits = value_masks[value]
+        for seed, shift in zip(seeds, shifts):
+            bits ^= prg(seed) << shift
+        if openings is not None:
+            openings[value] = Opening(tuple(seeds))
         coms.append(Commitment(bits))
     return tuple(coms)
 

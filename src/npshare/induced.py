@@ -123,38 +123,46 @@ def assemble_witness(X: PartySet, openings_by_party, inner) -> MPrimeWitness:
     return MPrimeWitness(openings=tuple(out), inner=inner)
 
 
-def openable_positions(inst: MPrimeInstance) -> dict[int, Opening]:
-    """Positions whose commitment opens to its own index, with openings."""
-    found = {}
-    for i in range(1, inst.n + 1):
-        opening = find_opening(i, inst.commitments[i - 1], inst.crs)
-        if opening is not None:
-            found[i] = opening
-    return found
-
-
 WITNESS_BUDGET = 250_000  # inner witnesses exhaustive search may enumerate
 
 
-def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
-    """A witness iff one exists; sound and complete at desk scale.
+def _openable_set(inst: MPrimeInstance) -> PartySet:
+    """The positions whose commitment opens to its own index, by the
+    per-block preimage test of ``find_opening``, building no opening.
 
-    Per position, block-wise commitment inversion needs ell * 2^k work
-    (refused above k = 10).  The inner witness is then searched over the
-    maximal openable set, which is exhaustive since all shipped
-    verifiers are monotone in the party set.
+    Exhaustive search looks for an inner witness over this maximal
+    openable set, which is sound and complete at desk scale since all
+    shipped verifiers are monotone in the party set.  Per position,
+    block-wise inversion needs ell * 2^k work (refused above k = 10).
     """
-    if inst.crs.k > 10:
+    crs = inst.crs
+    if crs.k > 10:
         raise ValueError("exhaustive search limited to k <= 10")
     if witness_space_size(inst.structure) > WITNESS_BUDGET:
         raise ValueError("inner-witness space exceeds the search budget")
-    openable = openable_positions(inst)
-    x_star = PartySet.of(inst.n, openable)
+    pre, width, blocks, value_masks = crs.prg_table[1], crs.block_bits, crs.blocks, crs.value_masks
+    mask = (1 << width) - 1
+    members = []
+    for i, com in enumerate(inst.commitments, 1):
+        targets = com.bits ^ value_masks[i]  # block j: the PRG output opening j needs
+        for _ in blocks:
+            if (targets & mask) not in pre:
+                break
+            targets >>= width
+        else:
+            members.append(i)
+    return PartySet.of(inst.n, members)
+
+
+def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
+    """A witness iff one exists: openings for the maximal openable set and
+    the first inner witness that set admits."""
+    x_star = _openable_set(inst)
     for inner in inner_witnesses(inst.structure, x_star):
-        return MPrimeWitness(
-            openings=tuple(openable.get(i) for i in range(1, inst.n + 1)),
-            inner=inner,
-        )
+        crs, coms = inst.crs, inst.commitments
+        return MPrimeWitness(inner=inner, openings=tuple(
+            find_opening(i, coms[i - 1], crs) if i in x_star else None
+            for i in range(1, inst.n + 1)))
     return None
 
 
@@ -178,8 +186,11 @@ class MPrimeRelation:
         return mprime_verify(self.instance, witness)
 
     def in_language(self) -> bool:
-        if self._in_language is None:
-            self._in_language = exhaustive_witness_search(self.instance) is not None
+        """``exhaustive_witness_search(instance) is not None``, building no witness."""
+        if self._in_language is None:  # an inner witness may be None, so not any(...)
+            inst = self.instance
+            self._in_language = any(True for _ in inner_witnesses(inst.structure,
+                                                                  _openable_set(inst)))
         return self._in_language
 
     def describe(self) -> bytes:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import json
 
 from . import serde
-from .commitments import (CRS, Commitment, Opening, commit, commitment_list, crs_gen,
-                          sample_opening)
+from .commitments import CRS, Commitment, Opening, _draw_and_commit, commitment_list, crs_gen
 from .induced import MPrimeInstance, MPrimeRelation, assemble_witness
 from .rng import Stream, derive_seed
 from .structures import AccessStructure, PartySet
@@ -159,15 +158,11 @@ class SchemeContext:
             commitments, X = (None,) * n, PartySet.full(n)
         if len(commitments) != n:
             raise ValueError(f"expected {n} input commitments")
-        coms, members, openings = list(commitments), X.members, {}
-        for i in range(1, n + 1):
-            if i in members:
-                openings[i] = sample_opening(crs, rng)
-                coms[i - 1] = commit(i, openings[i], crs)
-            else:
-                for _ in range(crs.ell * -(-crs.k // 64)):  # the draws of one sample_opening
-                    rng.next64()
-        inst = MPrimeInstance(crs=crs, commitments=tuple(coms), structure=self.structure)
+        members, openings = X.members, {}
+        fresh = _draw_and_commit([i if i in members else None for i in range(1, n + 1)],
+                                 crs, rng, openings)
+        inst = MPrimeInstance(crs=crs, structure=self.structure, commitments=tuple(
+            com if com is not None else given for com, given in zip(fresh, commitments)))
         ct = self.encrypt(inst, secret, rng)
         return Dealing(public=inst, shares=tuple(
             Share(party=i, opening=op, ciphertext=ct, header=self.header)

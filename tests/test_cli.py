@@ -305,9 +305,15 @@ THRESHOLD3 = {"structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend
     ("experiment", {**THRESHOLD3, "sampler": {"kind": "mixed", "p_unqualified": [1]}}),
     ("experiment", {"game": "hybrid", "n": 0}),
     ("experiment", {"game": "hybrid", "n": 4, "planted_position": 9}),
+    ("deal", {**THRESHOLD3, "k": 65}),
+    ("deal", {**THRESHOLD3, "k": 10**6}),
+    ("experiment", {**THRESHOLD3, "k": 65}),
+    ("experiment", {**THRESHOLD3, "k": 10**6}),
+    ("experiment", {**THRESHOLD3, "secret_bits": 8}),
 ], ids=["deal-no-structure", "deal-number", "deal-null", "deal-k-list", "experiment-empty",
         "k-list", "delta-null", "delta-0", "sampler-number", "p_unqualified-list",
-        "hybrid-n-0", "hybrid-position-9"])
+        "hybrid-n-0", "hybrid-position-9", "deal-k-65", "deal-k-1e6", "k-65", "k-1e6",
+        "secret_bits"])
 def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config):
     (workdir / "bad.json").write_text(json.dumps(config))
     argv = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if command == "deal" else ()
@@ -315,6 +321,7 @@ def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: [^\n]+\n", captured.err), captured.err
+    assert not (workdir / "x").exists()
 
 
 @pytest.mark.parametrize("runs", [0, -2, True])

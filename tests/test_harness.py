@@ -180,10 +180,11 @@ def reference_substituted_shares(commitments, X, secret, scheme, rng):
 
 @pytest.mark.parametrize("backend,k,trials", [
     ("leaky", 8, 60), ("idealized", 8, 60), ("idealized", 13, 20), ("idealized", 65, 20),
-    ("cnf", 4, 8),
+    ("cnf", 4, 8), ("leaky", 4, 30), ("idealized", 12, 20), ("idealized", 64, 20),
 ])
 def test_build_substituted_shares_equals_per_opening_reference(backend, k, trials):
-    """SchemeContext.deal's substitution equals the per-opening reference."""
+    """SchemeContext.deal's substitution, and its dealing without input
+    commitments (SETUP's), equal the per-opening reference."""
     n = 5
     ctx = SchemeContext.create(threshold_structure(n, 2), seed=k, backend=backend, k=k)
     for t in range(trials):
@@ -191,12 +192,14 @@ def test_build_substituted_shares_equals_per_opening_reference(backend, k, trial
         members = {i for i in range(1, n + 1) if picker.bit()}
         X = PartySet.of(n, (set(), set(range(1, n + 1)), members)[min(t, 2)])
         coms = (ctx.a0_commitments, ctx.a1_commitments)[t % 2](picker)
-        fast, reference = Stream(t), Stream(t)
-        dealing = ctx.deal(S1, fast, coms, X)
-        ref_inst, ref_shares = reference_substituted_shares(coms, X, S1, ctx, reference)
-        assert dealing.public == ref_inst
-        assert [s.to_json() for s in dealing.shares] == [s.to_json() for s in ref_shares]
-        assert fast.state == reference.state
+        for args, ref_args in (((coms, X), (coms, X)),
+                               ((), ((None,) * n, PartySet.full(n)))):
+            fast, reference = Stream(t), Stream(t)
+            dealing = ctx.deal(S1, fast, *args)
+            ref_inst, ref_shares = reference_substituted_shares(*ref_args, S1, ctx, reference)
+            assert dealing.public == ref_inst
+            assert [s.to_json() for s in dealing.shares] == [s.to_json() for s in ref_shares]
+            assert fast.state == reference.state
 
 
 @pytest.mark.parametrize("members", [set(), {2}, {1, 3, 6}, set(range(1, 7))])

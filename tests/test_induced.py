@@ -14,16 +14,17 @@ from npshare.induced import (
     derive_characteristic,
     exhaustive_witness_search,
     mprime_verify,
-    openable_positions,
+    _openable_set,
 )
-from npshare.rng import Stream
-from npshare.scheme import default_expansion, relation_for
+from npshare.rng import Stream, derive_seed
+from npshare.scheme import SchemeContext, default_expansion, relation_for
 from npshare.structures import (
     MonotoneCircuit,
     PartySet,
     circuit_structure,
     edge_index,
     hamiltonian_structure,
+    matching_structure,
     threshold_structure,
     verify,
 )
@@ -168,7 +169,7 @@ def test_value_substitution_never_opens():
     structure = threshold_structure(4, 2)
     for seed in range(50, 60):
         inst, _ = substituted_instance(structure, PartySet.empty(4), seed)
-        assert openable_positions(inst) == {}
+        assert _openable_set(inst) == PartySet.empty(4)
 
 
 def test_relation_wrapper():
@@ -201,3 +202,43 @@ def test_spliced_bytes_equal_canonical_json(backend, in_language):
     ct = we_encrypt(backend, 16, relation, b"spliced", Stream(91))
     assert ct.payload == serde.canonical_json_bytes(json.loads(ct.payload))
     assert json.loads(ct.payload)["relation"]["instance"] == inst.to_json()
+
+
+CIRCUIT5 = circuit_structure(MonotoneCircuit(  # c1's five parties with a free input
+    n_std=5, n_free=1,
+    gates=(("not", 5), ("and", 0, 1), ("and", 7, 5), ("and", 2, 3),
+           ("and", 9, 4), ("and", 10, 6), ("or", 8, 11)),
+    output=12,
+))
+
+
+@pytest.mark.parametrize("structure", [
+    threshold_structure(6, 2), CIRCUIT5, hamiltonian_structure(4), matching_structure(4),
+], ids=["threshold-6-2", "circuit5", "hamiltonian-4", "matching-4"])
+def test_in_language_is_whether_exhaustive_search_finds_a_witness(structure):
+    """On A0 and A1 lists and on dver's substitutions of them into random X."""
+    n = structure.n
+    ctx = SchemeContext.create(structure, seed=n, backend="leaky")
+    seen = set()
+    for t in range(40):
+        rng = Stream(derive_seed(0x1A, t))
+        coms = (ctx.a0_commitments, ctx.a1_commitments)[t % 2](rng)
+        X = PartySet.of(n, {i for i in range(1, n + 1) if rng.bit()})
+        for inst in (MPrimeInstance(ctx.crs, coms, structure),
+                     ctx.deal(b"s", rng, coms, X).public):
+            expected = exhaustive_witness_search(inst) is not None
+            assert MPrimeRelation(inst).in_language() is expected
+            seen.add(expected)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("structure,k,message", [
+    (threshold_structure(3, 2), 11, "exhaustive search limited to k <= 10"),
+    (hamiltonian_structure(10), 8, "inner-witness space exceeds the search budget"),
+])
+def test_in_language_refuses_what_exhaustive_search_refuses(structure, k, message):
+    ctx = SchemeContext.create(structure, seed=3, k=k)
+    inst = MPrimeInstance(ctx.crs, ctx.a0_commitments(Stream(4)), structure)
+    for decide in (exhaustive_witness_search, lambda i: MPrimeRelation(i).in_language()):
+        with pytest.raises(ValueError, match=message):
+            decide(inst)
