@@ -6,9 +6,10 @@ clause asserting the output.  Clause counts per gate: AND/OR 3, NOT 2,
 XOR 4.  Satisfying assignments therefore project onto exactly the
 circuit's satisfying inputs.
 
-Every :class:`CNF` is validated when it is built: C-level scans over the
-clauses and their literals, and only when they find a fault the per-clause
-loop that names the first offender.
+Every :class:`CNF` is validated when it is built: a negative variable
+count is refused, then C-level scans run over the clauses and their
+literals, and only when they find a fault the per-clause loop that names
+the first offender.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ class CNF:
     clauses: list[tuple[int, ...]]
 
     def __post_init__(self):
+        n, clauses, lits = self.num_vars, self.clauses, chain.from_iterable
+        if n < 0:
+            raise ValueError("negative variable count")
         # Streaming passes: a set of the literals would add ~2 MB of peak
         # memory on a 45k-clause formula.
-        n, clauses, lits = self.num_vars, self.clauses, chain.from_iterable
         if (all(clauses) and 0 not in lits(clauses)
                 and -n <= min(lits(clauses), default=0) and max(lits(clauses), default=0) <= n):
             return

@@ -13,7 +13,10 @@ Two entry points with different scope:
 
 Both solvers return a full assignment (list of bools, variable v at
 index v-1) or None for unsatisfiable; SAT answers are re-verified
-against the clause set before being returned.
+against the clause set before being returned.  :func:`solve_cnf` searches
+the clauses with tautologies dropped and repeated literals removed (first
+occurrences kept); its set-up finds the clauses that need neither by
+comparing literals, so Tseitin's 2- and 3-literal clauses build no set.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
     """CDCL search; returns an assignment or None (unsat).
 
     ``max_conflicts`` guards runaway instances (RuntimeError when hit).
+    Set-up copies each clause and calls it normal when no variable occurs
+    twice in it: pairwise literal comparisons for 2 and 3 literals, a set
+    of variables for more.  Normal clauses are watched as they are; the
+    rest drop repeated literals (first occurrences kept), tautologies are
+    skipped, and what is left with one literal becomes an initial unit.
     Literals are the CNF's signed ints: ``val``, ``level``, ``reason``,
     ``seen`` and ``watches`` are indexed by the literal itself (size
     2*nv+1, so a negative literal addresses the tail), the first four at
@@ -76,18 +84,26 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
     seen = [False] * size
     watches: list[list[list[int]]] = [[] for _ in range(size)]
     initial_units: list[int] = []
-    for clause in cnf.clauses:
-        if len(clause) < 2 or len(set(map(abs, clause))) < len(clause):
+    for c in map(list, cnf.clauses):
+        n = len(c)
+        if n == 2:
+            a, b = c
+            normal = a != b != -a
+        elif n == 3:
+            a, b, d = abs(c[0]), abs(c[1]), abs(c[2])
+            normal = a != b and a != d and b != d
+        else:
+            normal = n > 3 and len(set(map(abs, c))) == n
+        if not normal:
             # Units, repeated literals, tautologies: drop repeats, keep order.
-            clause = list(dict.fromkeys(clause))
-            if any(-lit in clause for lit in clause):
+            c = list(dict.fromkeys(c))
+            if any(-lit in c for lit in c):
                 continue
-            if not clause:
+            if not c:
                 return None
-            if len(clause) == 1:
-                initial_units.append(clause[0])
+            if len(c) == 1:
+                initial_units.append(c[0])
                 continue
-        c = list(clause)
         watches[c[0]].append(c)
         watches[c[1]].append(c)
     trail: list[int] = []

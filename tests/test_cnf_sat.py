@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from heapq import heappop, heappush
 from itertools import combinations
 from pathlib import Path
 
@@ -331,9 +332,76 @@ def test_solve_cnf_search_trajectory_is_golden():
     (CNF(2, [(2, 2, 2), (-2, -2)]), None),                   # contradictory units
     (CNF(1, [(1,), (-1,)]), None),
     (CNF(0, []), []),
+    (CNF(1, [(1, -1)]), [False]),                            # binary tautology
+    (CNF(2, [(1, 2, 1), (-2,)]), [True, False]),             # ternary repeat
+    (CNF(3, [(1, 2, -1, 3), (-3,)]), [False, False, False]),  # wide tautology
+    (CNF(3, [(1, 2, 3, 3), (-1,), (-2,)]), [False, False, True]),  # wide repeat
 ])
 def test_solve_cnf_normalizes_clauses(formula, expected):
     assert solve_cnf(formula) == expected
+
+
+def ref_normalize(cnf):
+    """The clause set solve_cnf must search: tautologies dropped, repeated
+    literals removed keeping first occurrences."""
+    clauses = []
+    for clause in cnf.clauses:
+        kept = []
+        for lit in clause:
+            if lit not in kept:
+                kept.append(lit)
+        if not any(-lit in kept for lit in kept):
+            clauses.append(tuple(kept))
+    return CNF(cnf.num_vars, clauses)
+
+
+def clause_kind(clause):
+    if any(-lit in clause for lit in clause):
+        return "tautology"
+    return "repeat" if len(set(clause)) < len(clause) else "normal"
+
+
+def test_solve_cnf_normalization_matches_reference(monkeypatch):
+    # Few variables and widths up to 6, so repeats and tautologies are common.
+    # Counting heap pops (decisions) and pushes (bumps, backjumps) pins the
+    # search, not just the answer: a repeat left in a clause that should have
+    # lost it changes when its remaining literals propagate.
+    heap_calls = [0, 0]
+
+    def counting_pop(heap):
+        heap_calls[0] += 1
+        return heappop(heap)
+
+    def counting_push(heap, item):
+        heap_calls[1] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(sat, "heappop", counting_pop)
+    monkeypatch.setattr(sat, "heappush", counting_push)
+
+    def search(formula):
+        heap_calls[:] = [0, 0]
+        return solve_cnf(formula), tuple(heap_calls)
+
+    kinds = set()
+    answers = set()
+    for trial in range(600):
+        rng = Stream(derive_seed(0x4E0F, trial))
+        raw = random_cnf(rng, 1 + rng.randrange(8), 1 + rng.randrange(30), width=6)
+        kinds.update((min(len(c), 4), clause_kind(c)) for c in raw.clauses)
+        result = search(raw)
+        assert result == search(ref_normalize(raw)), trial
+        answers.add(result[0] is None)
+    assert answers == {True, False}
+    assert {(w, k) for w in (2, 3, 4) for k in ("normal", "repeat", "tautology")} <= kinds
+
+
+def test_cnf_rejects_negative_variable_count():
+    with pytest.raises(ValueError, match="^negative variable count$"):
+        CNF(-2, [])
+    with pytest.raises(ValueError, match="^negative variable count$"):
+        parse_dimacs("p cnf -3 0\n")
+    assert solve_cnf(CNF(0, [])) == []
 
 
 def test_solve_cnf_budget_raises_runtime_error():
