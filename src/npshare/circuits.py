@@ -5,8 +5,8 @@ position (ell seeds of k bits per position), one presence flag per
 position (the flag encodes the absent opening: the characteristic bit is
 ``flag AND commitment-match``), and the inner-witness bits.  Commitment
 checks are realized as a bit-level PRG-expansion sub-circuit compared
-against the instance's constant commitment bits, with the CRS and value
-bits folded into the comparison constants.  The PRG sub-circuit is built
+against the instance's constant commitment bits, with ``CRS.value_masks``
+folded into the comparison constants.  The PRG sub-circuit is built
 once per k as a template and stamped per (party, block) with its wires
 renamed; the gate list and its numbering are those of building each copy
 gate by gate.  The structure predicate is then evaluated over the
@@ -442,15 +442,13 @@ def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
     prg_gates, prg_outs = _prg_template(k)
     x_wires = []
     for i in range(1, n + 1):
-        com = inst.commitments[i - 1]
+        targets = inst.commitments[i - 1].bits ^ crs.value_masks[i]
         block_eqs = []
         for j in range(ell):
             offset = meta.seed_offset(i, j)
             prg_out = bd.stamp(prg_gates, prg_outs, range(offset, offset + k))
-            target = com.block(j, crs)
-            if (i >> j) & 1:
-                target ^= crs.blocks[j]
-            block_eqs.append(_equals_const(bd, prg_out, target & block_mask))
+            block_eqs.append(_equals_const(bd, prg_out, targets & block_mask))
+            targets >>= crs.block_bits
         flag = meta.flags_offset + (i - 1)
         x_wires.append(bd.and_(flag, bd.and_all(block_eqs)))
     meta.x_wires = tuple(x_wires)

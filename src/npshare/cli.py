@@ -22,9 +22,9 @@ from .scheme import (
     DEALING_FORMAT,
     MissingShareError,
     MixedDealingError,
-    Share,
     recon,
     setup,
+    share_parse,
     share_serialize,
 )
 from .structures import AccessStructure, PartySet, check_monotone
@@ -129,10 +129,8 @@ def cmd_deal(args) -> int:
 def cmd_recon(args) -> int:
     shares = []
     for path in args.shares:
-        with open(path, "rb") as fh:
-            data = fh.read()
         try:
-            shares.append(Share.from_json(json.loads(data)))
+            shares.append(share_parse(Path(path).read_bytes()))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if not shares:

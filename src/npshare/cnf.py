@@ -85,7 +85,8 @@ def dimacs(cnf: CNF) -> str:
 
 
 def parse_dimacs(text: str) -> CNF:
-    num_vars = None
+    """Read a ``p cnf`` file: one problem line, first, declaring the clause count."""
+    header = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for line in text.splitlines():
@@ -96,8 +97,12 @@ def parse_dimacs(text: str) -> CNF:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
+            if header is not None:
+                raise ValueError("second problem line")
+            header = int(parts[2]), int(parts[3])
             continue
+        if header is None:
+            raise ValueError("clause before the problem line")
         for token in line.split():
             lit = int(token)
             if lit == 0:
@@ -107,6 +112,8 @@ def parse_dimacs(text: str) -> CNF:
                 pending.append(lit)
     if pending:
         raise ValueError("unterminated clause")
-    if num_vars is None:
+    if header is None:
         raise ValueError("missing problem line")
-    return CNF(num_vars, clauses)
+    if header[1] != len(clauses):
+        raise ValueError(f"problem line declares {header[1]} clauses, found {len(clauses)}")
+    return CNF(header[0], clauses)

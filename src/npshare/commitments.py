@@ -114,7 +114,8 @@ class CRS:
     @cached_property
     def value_masks(self) -> tuple[int, ...]:
         """Per value v in [0, 2n], the CRS blocks at v's set bits, each at
-        its block's offset: a commitment to v is this XOR the PRG outputs."""
+        its block's offset.  The one statement of the commitment equation:
+        ``com.bits ^ value_masks[v]`` is the PRG outputs, 3k bits per block."""
         width = self.block_bits
         return tuple(
             sum(block << (j * width) for j, block in enumerate(self.blocks) if (v >> j) & 1)
@@ -170,11 +171,6 @@ class Opening:
         return cls(tuple((packed >> (j * crs.k)) & mask for j in range(crs.ell)))
 
 
-def opening_to_json(opening: Opening | None, crs: CRS) -> str | None:
-    """``None`` (the absent opening) serializes as JSON null, never as bits."""
-    return None if opening is None else opening.to_json(crs)
-
-
 def opening_from_json(obj: str | None, crs: CRS) -> Opening | None:
     return None if obj is None else Opening.from_json(obj, crs)
 
@@ -220,29 +216,20 @@ def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
         raise ValueError(f"opening has {len(opening.seeds)} seeds, expected {crs.ell}")
     k, width = crs.k, crs.block_bits
     prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
-    bits = 0
-    for j, (seed, crs_block) in enumerate(zip(opening.seeds, crs.blocks)):
+    bits = crs.value_masks[value]
+    for j, seed in enumerate(opening.seeds):
         if seed >> k:
             raise ValueError("opening seed wider than k bits")
-        block = prg(seed)
-        if (value >> j) & 1:
-            block ^= crs_block
-        bits |= block << (j * width)
+        bits ^= prg(seed) << (j * width)
     return Commitment(bits)
 
 
-def commitment_list(values, crs: CRS, rng: Stream) -> tuple[Commitment, ...]:
-    """``tuple(commit(v, sample_opening(crs, rng), crs) for v in values)``: the
-    same draws and commitments in one loop, building no openings."""
-    return _draw_and_commit(values, crs, rng, None)
-
-
-def _draw_and_commit(values, crs: CRS, rng: Stream,
-                     openings: dict | None) -> tuple[Commitment | None, ...]:
-    """The loop of :func:`commitment_list`, which ``SchemeContext.deal``
-    shares: a value of None draws one opening's words and commits nothing
-    (None in its place), and given a dict ``openings`` each committed
-    value's opening is stored under the value."""
+def commitment_list(values, crs: CRS, rng: Stream,
+                    openings: dict | None = None) -> tuple[Commitment | None, ...]:
+    """``tuple(commit(v, sample_opening(crs, rng), crs) for v in values)`` in one
+    loop, building no openings unless a dict ``openings`` is given to store each
+    committed value's opening under the value.  A value of None draws one
+    opening's words and commits nothing (None in its place)."""
     draw = rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)
     mask, top, blocks, value_masks = (1 << crs.k) - 1, 2 * crs.n, crs.blocks, crs.value_masks
     prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
@@ -300,19 +287,20 @@ def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
     Sound and complete because blocks are independent: an opening exists
     iff every block's PRG target has a preimage.
     """
+    if not 1 <= value <= 2 * crs.n:
+        raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
     if crs.prg_table is None:
         raise ValueError("exhaustive block search limited to k <= 12")
     pre, width = crs.prg_table[1], crs.block_bits
     mask = (1 << width) - 1
+    targets = com.bits ^ crs.value_masks[value]  # block j: the PRG output seed j needs
     seeds = []
-    for j, crs_block in enumerate(crs.blocks):
-        target = (com.bits >> (j * width)) & mask
-        if (value >> j) & 1:
-            target ^= crs_block
-        seed = pre.get(target)
+    for _ in crs.blocks:
+        seed = pre.get(targets & mask)
         if seed is None:
             return None
         seeds.append(seed)
+        targets >>= width
     return Opening(tuple(seeds))
 
 

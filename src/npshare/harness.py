@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import serde
 from .commitments import CRS, find_opening
@@ -143,13 +143,7 @@ class GameReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "game": self.game, "trials": self.trials,
-            "count0": self.count0, "count1": self.count1,
-            "advantage": self.advantage, "radius": self.radius,
-            "delta": self.delta, "master_seed": self.master_seed,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
 def _report(game: str, trials: int, count0: int, count1: int, delta: float,
@@ -258,13 +252,7 @@ class HybridLocation:
     distinguisher: object = field(repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index, "gap": self.gap,
-            "value_x": self.value_x, "value_y": self.value_y,
-            "probs": list(self.probs), "signed_gaps": list(self.signed_gaps),
-            "radius": self.radius, "trials": self.trials,
-            "master_seed": self.master_seed,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "distinguisher"}
 
 
 def hybrid_locate(list_D, n: int, trials: int, master_seed: int,
@@ -291,15 +279,9 @@ def hybrid_locate(list_D, n: int, trials: int, master_seed: int,
     best = max(range(1, n + 1), key=lambda i: abs(signed[i - 1]))
     value_x, value_y = n - best + 1, 2 * n - best + 1
 
-    def pairwise(sample, rng: Stream) -> int:
-        samples = []
-        for p in range(1, n + 1):
-            if p < n - best + 1:
-                samples.append(sample_source(p, rng))
-            elif p == n - best + 1:
-                samples.append(sample)
-            else:
-                samples.append(sample_source(n + p, rng))
+    def pairwise(sample, rng: Stream) -> int:  # hybrid best-1 with value_x replaced
+        samples = [sample if v == value_x else sample_source(v, rng)
+                   for v in hybrid_values(n, best - 1)]
         return 1 if list_D(samples, rng) == 1 else 0
 
     return HybridLocation(
@@ -364,13 +346,9 @@ class IndToSem:
     """
 
     sampler: object
-    _learner_factory: object = field(repr=False)
+    learner: object = field(repr=False)  # f -> learner
     simulator: object = field(repr=False)
-    secret_bits: int = 0
     dictators: tuple[int, ...] = ()
-
-    def learner(self, f):
-        return self._learner_factory(f)
 
 
 def ind_to_sem(sampler, D, t: int, probe_seed: int = 0) -> IndToSem:
@@ -398,9 +376,8 @@ def ind_to_sem(sampler, D, t: int, probe_seed: int = 0) -> IndToSem:
     s0, s1, _, _ = sampler(Stream(derive_seed(probe_seed, 0xD1FF)))
     return IndToSem(
         sampler=sampler2,
-        _learner_factory=learner_factory,
+        learner=learner_factory,
         simulator=simulator,
-        secret_bits=t,
         dictators=dictator_diff(s0, s1, t),
     )
 

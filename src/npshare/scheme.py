@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import json
 
 from . import serde
-from .commitments import CRS, Commitment, Opening, _draw_and_commit, commitment_list, crs_gen
+from .commitments import CRS, Commitment, Opening, commitment_list, crs_gen
 from .induced import MPrimeInstance, MPrimeRelation, assemble_witness
 from .rng import Stream, derive_seed
 from .structures import AccessStructure, PartySet
@@ -159,8 +159,8 @@ class SchemeContext:
         if len(commitments) != n:
             raise ValueError(f"expected {n} input commitments")
         members, openings = X.members, {}
-        fresh = _draw_and_commit([i if i in members else None for i in range(1, n + 1)],
-                                 crs, rng, openings)
+        fresh = commitment_list([i if i in members else None for i in range(1, n + 1)],
+                                crs, rng, openings)
         inst = MPrimeInstance(crs=crs, structure=self.structure, commitments=tuple(
             com if com is not None else given for com, given in zip(fresh, commitments)))
         ct = self.encrypt(inst, secret, rng)
@@ -186,16 +186,12 @@ def setup(
     lam: int = 16,
     k: int = 8,
     backend: str = "idealized",
-    crs: CRS | None = None,
     expansion: str | None = None,
 ) -> Dealing:
     """Deal ``secret`` for ``structure`` through :meth:`SchemeContext.deal`,
-    on a CRS drawn first unless ``crs`` is given.  The CNF backend defaults
-    to the "toy" expansion, the one its compiled relation matches."""
-    if crs is None:
-        crs = crs_gen(structure.n, k, rng, expansion=expansion or default_expansion(backend))
-    elif crs.n != structure.n:
-        raise ValueError("provided CRS is for a different party count")
+    on a CRS drawn first.  The CNF backend defaults to the "toy" expansion,
+    the one its compiled relation matches."""
+    crs = crs_gen(structure.n, k, rng, expansion=expansion or default_expansion(backend))
     return SchemeContext(structure, crs, lam, backend).deal(secret, rng)
 
 

@@ -343,33 +343,26 @@ def witness_space_size(structure: AccessStructure) -> int:
 
 
 def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -> bool:
-    """Decide M(X).
+    """Decide M(X): true iff :func:`inner_witnesses` yields a witness.
 
-    Threshold and deterministic monotone circuits are decided directly.
-    The NP kinds (and circuits with free inputs) are decided by
+    Thresholds and circuits without free inputs have one candidate
+    witness.  The NP kinds (and circuits with free inputs) are decided by
     exhaustive witness search, which callers must opt into via
     ``expensive=True``; refused above n = 15 (v = 6).
     """
     if X.n != structure.n:
         raise ValueError("party set is over a different n than the structure")
     kind = structure.kind
-    if kind == "threshold":
-        return len(X) >= structure.payload
-    if kind == "monotone-circuit" and structure.payload.n_free == 0:
-        return structure.payload.eval(X.char_bits(), ())
-    if not expensive:
-        raise ValueError(f"deciding a {kind} structure is exhaustive; pass expensive=True")
-    if structure.n > 15:
-        raise ValueError("exhaustive decision limited to n <= 15")
-    if kind == "monotone-circuit" and structure.payload.n_free > 20:
-        raise ValueError("too many free inputs for exhaustive decision")
+    if kind != "threshold" and (kind != "monotone-circuit" or structure.payload.n_free):
+        if not expensive:
+            raise ValueError(f"deciding a {kind} structure is exhaustive; pass expensive=True")
+        if structure.n > 15:
+            raise ValueError("exhaustive decision limited to n <= 15")
+        if kind == "monotone-circuit" and structure.payload.n_free > 20:
+            raise ValueError("too many free inputs for exhaustive decision")
     for _ in inner_witnesses(structure, X):
         return True
     return False
-
-
-def _decide(structure: AccessStructure, members: frozenset[int]) -> bool:
-    return evaluate(structure, PartySet(structure.n, members), expensive=True)
 
 
 def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
@@ -409,5 +402,7 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
 def check_monotone(structure: AccessStructure, mode: str = "exhaustive",
                    trials: int = 1000, rng_seed: int = 0) -> bool:
     return check_monotone_fn(
-        structure.n, lambda members: _decide(structure, members), mode, trials, rng_seed
+        structure.n,
+        lambda members: evaluate(structure, PartySet(structure.n, members), expensive=True),
+        mode, trials, rng_seed,
     )

@@ -388,18 +388,21 @@ def _relation_without_instance(share):
 
 @pytest.mark.parametrize("mutate", [
     _drop_header, _drop_msg_len, _party_out_of_range, lambda share: [share],
-    _garbage_payload, _relation_without_instance,
+    _garbage_payload, _relation_without_instance, lambda share: b"", lambda share: b"{not json",
 ], ids=["no-header", "no-msg-len", "party-9-of-3", "json-array", "garbage-payload",
-        "relation-without-instance"])
+        "relation-without-instance", "empty-file", "not-json"])
 def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
     out = workdir / "deal"
     run("deal", "--config", workdir / "cfg.json",
         "--secret", workdir / "secret.bin", "--out", out)
+    capsys.readouterr()
     bad = workdir / "bad_share.json"
-    bad.write_text(json.dumps(mutate(json.loads((out / "share_1.json").read_text()))))
+    data = mutate(json.loads((out / "share_1.json").read_text()))
+    bad.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
     code = run("recon", "--parties", "1", bad)
     assert code == EXIT_CONFIG
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def _zero_structure_digest(share):

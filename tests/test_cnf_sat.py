@@ -218,6 +218,17 @@ def test_dimacs_round_trip():
     assert again.num_vars == 4 and list(again.clauses) == list(cnf.clauses)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p cnf 3 5\n1 -2 0\n", "declares 5 clauses, found 1"),
+    ("p cnf 3 -1\n1 -2 0\n", "declares -1 clauses, found 1"),
+    ("p cnf 3 1\np cnf 3 1\n1 -2 0\n", "second problem line"),
+    ("1 -2 0\np cnf 3 1\n", "clause before the problem line"),
+])
+def test_parse_dimacs_rejects_inconsistent_problem_lines(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_dimacs(text)
+
+
 def test_compiled_a1_substitution_unsat():
     # Claim-level soundness through the compiled pipeline (quick version;
     # the 50-instance sweep is acceptance criterion 2).

@@ -17,7 +17,6 @@ from npshare.commitments import (
     crs_gen,
     find_opening,
     opening_from_json,
-    opening_to_json,
     prg_splitmix64,
     prg_toy,
     sample_opening,
@@ -122,6 +121,14 @@ def test_commit_errors():
         commit(9, op, crs)
     with pytest.raises(ValueError):
         commit(1, Opening(op.seeds[:-1]), crs)
+
+
+def test_find_opening_errors():
+    crs = crs_gen(4, 8, Stream(1))
+    com = commit(1, sample_opening(crs, Stream(2)), crs)
+    for value in (0, 9, -1):  # -1 would otherwise read value_masks[-1]
+        with pytest.raises(ValueError, match="outside"):
+            find_opening(value, com, crs)
 
 
 def test_verify_opening_round_trip_and_bottom():
@@ -283,8 +290,7 @@ def test_find_opening_inverts_commit():
 def test_opening_serialization_round_trip():
     crs = crs_gen(4, 8, Stream(21))
     op = sample_opening(crs, Stream(22))
-    assert opening_from_json(opening_to_json(op, crs), crs) == op
-    assert opening_to_json(None, crs) is None  # tagged-absent, not a bit pattern
+    assert opening_from_json(op.to_json(crs), crs) == op
     assert opening_from_json(None, crs) is None
 
 

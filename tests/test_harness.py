@@ -39,7 +39,7 @@ from npshare.harness import (
 from npshare.commitments import commit, find_opening, sample_opening
 from npshare.induced import MPrimeInstance
 from npshare.rng import Stream, derive_seed
-from npshare.scheme import Share, setup, shares_of
+from npshare.scheme import Share, shares_of
 from npshare.structures import PartySet, evaluate, hamiltonian_structure, threshold_structure
 from npshare.we import leak_message
 
@@ -136,7 +136,7 @@ def test_dver_share_distribution_identity_under_a0():
         + rec.words[1 + ell : 1 + 3 * ell]
         + rec.words[1 + 3 * ell :]
     )
-    honest = setup(structure, secret, TapeStream(tape), backend="idealized", crs=ctx.crs)
+    honest = ctx.deal(secret, TapeStream(tape))
     assert honest.public == dealing_d.public
     honest_x = shares_of(honest, X)
     assert [s.to_json() for s in honest_x] == [s.to_json() for s in dealing_d.shares]
@@ -151,7 +151,7 @@ def test_dver_share_bytes_chi2_two_sample():
     counts = [[0] * 256, [0] * 256]
     for t in range(10_000):
         rng = Stream(derive_seed(0xAB, t))
-        dealing = setup(structure, S0, rng, backend="idealized", crs=ctx.crs)
+        dealing = ctx.deal(S0, rng)
         counts[0][shares_of(dealing, X)[0].opening.seeds[0] & 0xFF] += 1
         rng2 = Stream(derive_seed(0xAC, t))
         coms = ctx.a0_commitments(rng2)
@@ -235,7 +235,7 @@ def test_deal_with_every_party_substituted_is_setup(backend, k):
         coms = (ctx.a0_commitments, ctx.a1_commitments)[t % 2](Stream(derive_seed(0x5E, t)))
         substituted, dealt = Stream(t), Stream(t)
         dealing = ctx.deal(S1, substituted, coms, PartySet.full(n))
-        honest = setup(ctx.structure, S1, dealt, backend=backend, crs=ctx.crs)
+        honest = ctx.deal(S1, dealt)
         assert dealing.public == honest.public
         assert [s.to_json() for s in dealing.shares] == [s.to_json() for s in honest.shares]
         assert substituted.state == dealt.state
@@ -622,6 +622,32 @@ def test_hybrid_telescoping_identity():
     loc = hybrid_locate(position_detector(2, 0.6, n), n, 250,
                         master_seed=99, sample_source=transparent_sample_source)
     assert sum(loc.signed_gaps) == pytest.approx(loc.probs[0] - loc.probs[-1], abs=1e-12)
+
+
+def test_hybrid_locate_report_and_distinguisher_are_golden():
+    """SHA-256 over each location's report bytes and its pairwise
+    distinguisher's answers on fixed streams.  The second source draws per
+    sample and the second detector reads the whole list, so the answers pin
+    the pairwise list's values, their order and the draws made for them."""
+    def drawing_source(value, rng):
+        return (value, rng.bits(8))
+
+    def list_hash_detector(samples, rng):
+        return hashlib.sha256(repr((samples, rng.bits(8))).encode()).digest()[0] & 1
+
+    digest = hashlib.sha256()
+    for n, list_D, source in (
+        (8, position_detector(3, 0.8, 8), transparent_sample_source),
+        (6, list_hash_detector, drawing_source),
+    ):
+        loc = hybrid_locate(list_D, n, 120, master_seed=0x4B1D, sample_source=source)
+        digest.update(serde.canonical_json_bytes(loc.to_json()))
+        for value in (loc.value_x, loc.value_y):
+            samples = [source(value, Stream(derive_seed(value, t))) for t in range(100)]
+            digest.update(bytes(loc.distinguisher(s, Stream(derive_seed(0xD15, t)))
+                                for t, s in enumerate(samples)))
+    assert digest.hexdigest() == (
+        "142c0d5aee4b0f7f26a9ffadbf0124ce711859530dcebba50deb6d8e59d00f65")
 
 
 # --- definition equivalences ------------------------------------------------
