@@ -51,7 +51,7 @@ for k in (8, 16, 24):
     for row, value in enumerate((1, 2)):
         for _ in range(4000):
             c = commit(value, sample_opening(crs_k, sampler), crs_k)
-            counts[row, c.block(0, crs_k) & 0xFF] += 1
+            counts[row, c.bits & 0xFF] += 1  # low byte of block 0
     total = counts.sum(axis=1, keepdims=True)
     l1 = float(np.abs(counts[0] / total[0] - counts[1] / total[1]).sum()) / 2
     print(f"k={k:2}: total-variation distance of first-byte marginals ~ {l1:.3f}")

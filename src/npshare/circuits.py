@@ -43,10 +43,10 @@ from .structures import (
     edge_index,
     edge_slots,
     eval_gates,
+    inner_form,
     n_edge_parties,
     party_edge,
 )
-from . import we
 
 
 @dataclass
@@ -364,26 +364,20 @@ def inner_witness_width(structure: AccessStructure) -> int:
 
 
 def encode_inner(structure: AccessStructure, inner) -> list[bool]:
-    """Inner witness -> fixed-width bit encoding (malformed -> zeros)."""
-    width = inner_witness_width(structure)
-    bits = [False] * width
-    kind = structure.kind
-    try:
-        if kind == "monotone-circuit":
-            for i, b in enumerate(tuple(inner)[:width]):
-                bits[i] = bool(b)
-        elif kind == "hamiltonian":
-            v = structure.payload
-            cycle = tuple(int(x) for x in inner)
-            for step, vertex in enumerate(cycle[:v]):
-                if 1 <= vertex <= v:
-                    bits[step * v + (vertex - 1)] = True
-        elif kind == "matching":
-            v = structure.payload
-            for a, b in inner:
-                bits[edge_index(v, int(a), int(b)) - 1] = True
-    except (TypeError, ValueError):
-        return [False] * width
+    """Inner witness -> fixed-width bit encoding; ValueError when it is
+    malformed under :func:`structures.inner_form`."""
+    w = inner_form(structure, inner)
+    if w is None:
+        raise ValueError("malformed inner witness")
+    if structure.kind == "monotone-circuit":
+        return [b == 1 for b in w]
+    bits, v = [False] * inner_witness_width(structure), structure.payload
+    if structure.kind == "hamiltonian":
+        for step, vertex in enumerate(w):
+            bits[step * v + (vertex - 1)] = True
+    elif structure.kind == "matching":
+        for a, b in w:
+            bits[edge_index(v, a, b) - 1] = True
     return bits
 
 
@@ -539,9 +533,12 @@ class CnfMPrimeRelation(MPrimeRelation):
         from .cnf import check_assignment
 
         if isinstance(witness, MPrimeWitness):
-            if len(witness.openings) != self.instance.n:
+            circuit = self.circuit
+            try:
+                inputs = lift_witness(circuit, witness)
+            except ValueError:  # wrong opening count or malformed inner witness
                 return False
-            witness = eval_wires(self.circuit, lift_witness(self.circuit, witness))
+            witness = eval_wires(circuit, inputs)
         else:
             try:
                 witness = [bool(b) for b in witness]
@@ -550,9 +547,3 @@ class CnfMPrimeRelation(MPrimeRelation):
             if len(witness) < self.cnf.num_vars:
                 return False
         return check_assignment(self.cnf, witness)
-
-
-we.register_relation_loader(
-    "mprime-cnf",
-    lambda desc: CnfMPrimeRelation(MPrimeInstance.from_json(desc["instance"])),
-)

@@ -181,9 +181,6 @@ class Commitment:
 
     bits: int
 
-    def block(self, j: int, crs: CRS) -> int:
-        return (self.bits >> (j * crs.block_bits)) & ((1 << crs.block_bits) - 1)
-
     def to_json(self, crs: CRS) -> str:
         return serde.int_to_hex(self.bits, crs.total_bits)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import serde, we
+from . import serde
 from .commitments import (
     CRS,
     Commitment,
@@ -168,16 +168,19 @@ def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
 
 class MPrimeRelation:
     """Relation wrapper handed to the witness-encryption backends; ``tag``
-    names the relation loader that rebuilds it from :meth:`describe`."""
+    is the ``"type"`` :meth:`describe` writes, by which ``we.load_relation``
+    rebuilds it.  The instance digest is computed on first request."""
 
     tag = "mprime"
 
     def __init__(self, instance: MPrimeInstance):
         self.instance = instance
-        self._digest = instance.digest()
+        self._digest: str | None = None
         self._in_language: bool | None = None
 
     def instance_digest(self) -> str:
+        if self._digest is None:
+            self._digest = self.instance.digest()
         return self._digest
 
     def check(self, witness) -> bool:
@@ -198,11 +201,6 @@ class MPrimeRelation:
         around the instance's pre-rendered bytes."""
         return (b'{"instance":' + self.instance.canonical_bytes
                 + f',"type":"{self.tag}"}}'.encode("ascii"))
-
-
-we.register_relation_loader(
-    "mprime", lambda desc: MPrimeRelation(MPrimeInstance.from_json(desc["instance"]))
-)
 
 
 def witness_from_json(obj: dict, crs: CRS) -> MPrimeWitness:

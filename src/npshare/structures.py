@@ -235,6 +235,36 @@ def circuit_structure(circuit: MonotoneCircuit) -> AccessStructure:
 # ---------------------------------------------------------------------------
 # Witness verification (total, polynomial time).
 
+def inner_form(structure: AccessStructure, witness):
+    """The inner witness as a tuple, or None when it is malformed.  The one
+    well-formedness rule, for :func:`verify` and the compiled encoding:
+    vertices and free bits are ``int`` (not ``bool``); free bits are
+    exactly ``n_free`` bits 0 or 1; a cycle is a permutation of 1..v; a
+    matching is pairs of vertices in 1..v, no vertex in two pairs or
+    twice in one.  A threshold structure reads no inner witness: ()."""
+    kind = structure.kind
+    try:
+        if kind == "threshold":
+            return ()
+        if kind == "monotone-circuit":
+            free = tuple(witness)
+            ok = len(free) == structure.payload.n_free and all(
+                type(b) is int and b in (0, 1) for b in free)
+            return free if ok else None
+        v = structure.payload
+        if kind == "hamiltonian":
+            cycle = tuple(witness)
+            ok = all(type(x) is int for x in cycle) and sorted(cycle) == list(range(1, v + 1))
+            return cycle if ok else None
+        edges = tuple(tuple(e) for e in witness)
+        ends = [x for e in edges for x in e]
+        ok = all(len(e) == 2 for e in edges) and len(set(ends)) == len(ends) and all(
+            type(x) is int and 1 <= x <= v for x in ends)
+        return edges if ok else None
+    except TypeError:
+        return None
+
+
 def verify(structure: AccessStructure, X: PartySet, witness) -> bool:
     """1 iff ``witness`` attests that X is qualified; malformed -> False."""
     if X.n != structure.n:
@@ -242,44 +272,15 @@ def verify(structure: AccessStructure, X: PartySet, witness) -> bool:
     kind = structure.kind
     if kind == "threshold":
         return len(X) >= structure.payload
-    if kind == "monotone-circuit":
-        payload: MonotoneCircuit = structure.payload
-        try:
-            free = tuple(int(b) & 1 for b in witness)
-        except TypeError:
-            return False
-        if len(free) != payload.n_free:
-            return False
-        return payload.eval(X.char_bits(), free)
-    if kind == "hamiltonian":
-        v = structure.payload
-        try:
-            cycle = tuple(int(x) for x in witness)
-        except (TypeError, ValueError):
-            return False
-        if len(cycle) != v or set(cycle) != set(range(1, v + 1)):
-            return False
-        for idx in range(v):
-            a, b = cycle[idx], cycle[(idx + 1) % v]
-            if edge_index(v, a, b) not in X:
-                return False
-        return True
-    # matching
-    v = structure.payload
-    try:
-        edges = [(int(a), int(b)) for a, b in witness]
-    except (TypeError, ValueError):
+    w = inner_form(structure, witness)
+    if w is None:
         return False
-    covered: set[int] = set()
-    for a, b in edges:
-        if not (1 <= a <= v and 1 <= b <= v) or a == b:
-            return False
-        if a in covered or b in covered:
-            return False
-        if edge_index(v, a, b) not in X:
-            return False
-        covered.update((a, b))
-    return len(covered) == v
+    if kind == "monotone-circuit":
+        return structure.payload.eval(X.char_bits(), w)
+    v = structure.payload
+    if kind == "hamiltonian":
+        return all(edge_index(v, w[i], w[(i + 1) % v]) in X for i in range(v))
+    return 2 * len(w) == v and all(edge_index(v, a, b) in X for a, b in w)
 
 
 # ---------------------------------------------------------------------------

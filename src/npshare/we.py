@@ -22,14 +22,16 @@ The symmetric layer is XOR with a SplitMix64-derived keystream plus a
 distinct from the plain "wrong witness" outcome (None).
 
 A relation object must provide ``instance_digest()`` and ``check(w)``;
-``leaky`` additionally needs ``in_language()``.  Relations that can be
-rebuilt from JSON advertise a loader tag via ``describe()`` and register
-a loader here, which makes parsed ciphertexts self-contained.
-``describe()`` returns the canonical JSON bytes of an object whose
-``"type"`` names the loader; they are spliced into the payload as they
-are, and the loader receives the object parsed.  A ciphertext from
-:func:`we_encrypt` keeps the fields it wrote as a cached parse; payloads
-read from outside are parsed in one place, :func:`parse_payload`.
+``leaky`` additionally needs ``in_language()``.  ``describe()``, where
+present, returns the canonical JSON bytes of an object whose ``"type"``
+is the relation class's ``tag``; they are spliced into the payload as
+they are.  :func:`load_relation` rebuilds the two induced-language
+relations from theirs, which makes parsed ciphertexts self-contained.
+A ciphertext from :func:`we_encrypt` keeps the fields it wrote as a
+cached parse and is built without its envelope bytes: its payload and
+instance digest are rendered on first read, so a reader of the fields
+alone never pays for them.  Payloads read from outside are parsed in one
+place, :func:`parse_payload`.
 """
 
 from __future__ import annotations
@@ -55,13 +57,6 @@ class UnboundRelation(WeError):
     """Ciphertext has no relation attached and none can be rebuilt."""
 
 
-_relation_loaders: dict = {}
-
-
-def register_relation_loader(tag: str, loader) -> None:
-    _relation_loaders[tag] = loader
-
-
 def _fold_bytes(data: bytes) -> int:
     state = len(data) & MASK64
     for off in range(0, len(data), 8):
@@ -81,6 +76,11 @@ def checksum64(data: bytes) -> int:
 
 @dataclass
 class WECiphertext:
+    """A ciphertext envelope.  One from :func:`we_encrypt` is built without
+    ``payload`` and ``instance_digest``: each is rendered from ``fields`` and
+    the encrypter's relation on its first read, then cached, so every byte
+    equals the eager rendering."""
+
     backend: str
     instance_digest: str
     msg_len: int
@@ -88,6 +88,16 @@ class WECiphertext:
     relation: object | None = field(default=None, compare=False, repr=False)
     # parse_payload(self) but "relation" and "v"; set only with the relation
     fields: dict | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __getattr__(self, name):  # reached only while an envelope attribute is unset
+        if name == "payload":
+            value = _payload(self.fields, _describe(self.relation))
+        elif name == "instance_digest":
+            value = self.relation.instance_digest()
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     def to_json(self) -> dict:
         return {
@@ -115,6 +125,7 @@ class WECiphertext:
     def bind(self, relation) -> "WECiphertext":
         if relation.instance_digest() != self.instance_digest:
             raise WeError("relation does not match the ciphertext's instance digest")
+        self.payload  # render an unread payload from the encrypter's relation first
         self.relation = relation
         return self
 
@@ -160,12 +171,15 @@ def load_relation(ct: WECiphertext):
         return ct.relation
     obj = parse_payload(ct)
     if ct.relation is None:
+        from .circuits import CnfMPrimeRelation  # the relation layers sit above this one
+        from .induced import MPrimeInstance, MPrimeRelation
+
         tag = obj["relation"].get("type")
-        loader = _relation_loaders.get(tag) if isinstance(tag, str) else None
+        loader = next((c for c in (MPrimeRelation, CnfMPrimeRelation) if c.tag == tag), None)
         if loader is None:
             raise UnboundRelation(f"no loader for relation type {tag!r}; bind() a relation first")
         try:
-            relation = loader(obj["relation"])
+            relation = loader(MPrimeInstance.from_json(obj["relation"]["instance"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptCiphertext(f"embedded relation does not load: {exc!r}") from exc
         if relation.instance_digest() != ct.instance_digest:
@@ -183,7 +197,6 @@ def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) ->
         raise ValueError("security parameter must be >= 8")
     if not message:
         raise ValueError("message must be non-empty")
-    desc = _describe(relation)
     if backend == "leaky":
         nonce = rng.bytes(8)
         if not relation.in_language():
@@ -200,14 +213,8 @@ def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) ->
             "body": _keystream_xor(key, message).hex(),
             "check": f"{checksum64(message):016x}",
         }
-    ct = WECiphertext(
-        backend=backend,
-        instance_digest=relation.instance_digest(),
-        msg_len=len(message),
-        payload=_payload(fields, desc),
-        relation=relation,
-    )
-    ct.fields = fields
+    ct = object.__new__(WECiphertext)  # payload and instance_digest unset until read
+    ct.backend, ct.msg_len, ct.relation, ct.fields = backend, len(message), relation, fields
     return ct
 
 

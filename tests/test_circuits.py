@@ -16,7 +16,7 @@ from npshare.circuits import (
 )
 from npshare.cnf import check_assignment, tseitin
 from npshare.commitments import commit, crs_gen, prg_toy, sample_opening
-from npshare.induced import MPrimeInstance, MPrimeWitness, mprime_verify
+from npshare.induced import MPrimeInstance, MPrimeRelation, MPrimeWitness, mprime_verify
 from npshare.rng import Stream, derive_seed
 from npshare.structures import (
     MonotoneCircuit,
@@ -259,3 +259,47 @@ def test_inner_encoding_round_trip():
     mt = matching_structure(4)
     bits_m = encode_inner(mt, ((1, 3), (2, 4)))
     assert set(decode_inner(mt, bits_m)) == {(1, 3), (2, 4)}
+
+
+HAM4_CYCLE = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4), (4, 1))}
+MATCHING4 = {edge_index(4, 1, 2), edge_index(4, 3, 4)}
+
+
+# (structure, qualified set, inner witness, expected): both relations must
+# read an inner witness by structures.inner_form, so they agree on each
+@pytest.mark.parametrize("structure, qualified, inner, expected", [
+    (CIRCUIT5, {1, 2}, (1,), True),
+    (CIRCUIT5, {1, 2}, [1], True),
+    (CIRCUIT5, {1, 2}, (0,), False),
+    (CIRCUIT5, {1, 2}, (2,), False),
+    (CIRCUIT5, {1, 2}, (True,), False),
+    (CIRCUIT5, {1, 2}, (1.0,), False),
+    (CIRCUIT5, {1, 2}, ("1",), False),
+    (CIRCUIT5, {1, 2}, (1, 0), False),
+    (CIRCUIT5, {1, 2}, None, False),
+    (hamiltonian_structure(4), HAM4_CYCLE, (1, 2, 3, 4), True),
+    (hamiltonian_structure(4), HAM4_CYCLE, [2, 3, 4, 1], True),
+    (hamiltonian_structure(4), HAM4_CYCLE, (4, 3, 2, 1), True),
+    (hamiltonian_structure(4), HAM4_CYCLE, [1.5, 2, 3, 4], False),
+    (hamiltonian_structure(4), HAM4_CYCLE, "1234", False),
+    (hamiltonian_structure(4), HAM4_CYCLE, [True, 2, 3, 4], False),
+    (hamiltonian_structure(4), HAM4_CYCLE, (1, 2, 3), False),
+    (hamiltonian_structure(4), HAM4_CYCLE, (1, 2, 3, 4, 1), False),
+    (hamiltonian_structure(4), HAM4_CYCLE, (1, 1, 3, 4), False),
+    (hamiltonian_structure(4), HAM4_CYCLE, (0, 2, 3, 4), False),
+    (matching_structure(4), MATCHING4, ((1, 2), (3, 4)), True),
+    (matching_structure(4), MATCHING4, [[4, 3], [2, 1]], True),
+    (matching_structure(4), MATCHING4, [[1.9, 2], [3, 4]], False),
+    (matching_structure(4), MATCHING4, ["12", "34"], False),
+    (matching_structure(4), MATCHING4, [[True, 2], [3, 4]], False),
+    (matching_structure(4), MATCHING4, [[1, 2], [3, 4], [1, 2]], False),
+    (matching_structure(4), MATCHING4, [[1, 2]], False),
+    (matching_structure(4), MATCHING4, [[1, 2, 3]], False),
+    (matching_structure(4), MATCHING4, [[1, 1], [3, 4]], False),
+], ids=lambda v: repr(v) if not hasattr(v, "kind") else v.kind)
+def test_backends_accept_the_same_inner_witnesses(structure, qualified, inner, expected):
+    inst, openings = toy_instance(structure, 1000 + structure.n)
+    wit = MPrimeWitness(inner=inner, openings=tuple(
+        openings[i - 1] if i in qualified else None for i in range(1, structure.n + 1)))
+    assert MPrimeRelation(inst).check(wit) is expected
+    assert CnfMPrimeRelation(inst).check(wit) is expected

@@ -183,6 +183,38 @@ def test_recon_malformed_witness_exit_2(workdir, capsys, witness):
     assert not (workdir / "secret.out").exists()
 
 
+CIRCUIT5 = {"kind": "monotone-circuit", "n": 5, "payload": {
+    "free": 1, "output": 12, "gates": [["not", 5], ["and", 0, 1], ["and", 7, 5], ["and", 2, 3],
+                                       ["and", 9, 4], ["and", 10, 6], ["or", 8, 11]]}}
+HAMILTONIAN4 = {"kind": "hamiltonian", "n": 6, "payload": 4}
+MATCHING4 = {"kind": "matching", "n": 6, "payload": 4}
+
+
+# malformed inner witnesses that int() or bool() coercion once let through
+# on one backend or both; the parties are those the coerced witness names
+@pytest.mark.parametrize("backend", ["idealized", "cnf"])
+@pytest.mark.parametrize("structure, parties, inner", [
+    (CIRCUIT5, "1,2", [2]),
+    (HAMILTONIAN4, "1,3,4,6", [1.5, 2, 3, 4]),
+    (HAMILTONIAN4, "1,3,4,6", "1234"),
+    (HAMILTONIAN4, "1,3,4,6", [True, 2, 3, 4]),
+    (MATCHING4, "1,6", [[1.9, 2], [3, 4]]),
+    (MATCHING4, "1,6", ["12", "34"]),
+], ids=["circuit5-2", "ham-float", "ham-string", "ham-true", "matching-float",
+        "matching-strings"])
+def test_recon_malformed_inner_witness_exit_4(workdir, backend, structure, parties, inner):
+    (workdir / "cfg.json").write_text(json.dumps({"structure": structure, "backend": backend}))
+    out = workdir / "deal"
+    assert run("deal", "--config", workdir / "cfg.json",
+               "--secret", workdir / "secret.bin", "--out", out) == EXIT_OK
+    (workdir / "wit.json").write_text(json.dumps({"inner": inner}))
+    code = run("recon", "--parties", parties, "--witness", workdir / "wit.json",
+               "--out", workdir / "secret.out",
+               *(out / f"share_{i}.json" for i in parties.split(",")))
+    assert code == EXIT_REJECTED
+    assert not (workdir / "secret.out").exists()
+
+
 def _cnf_config(structure, **extra):
     return {"structure": structure, "backend": "cnf", **extra}
 
@@ -582,12 +614,18 @@ def test_experiment_dprime_golden_report(workdir):
 
 
 def test_experiment_report_identical_across_processes(tmp_path):
+    # a dprime report, and every file a leaky dealing writes (its envelope
+    # bytes are rendered on first read), under two hash seeds
     (tmp_path / "exp.json").write_text(json.dumps({
         "structure": {"kind": "threshold", "n": 3, "payload": 2},
         "backend": "leaky", "game": "dprime", "runs": 3, "epsilon": 0.5,
     }))
+    (tmp_path / "deal.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend": "leaky",
+    }))
+    (tmp_path / "secret.bin").write_bytes(b"hash seed")
     src = str(pathlib.Path(__file__).parent.parent / "src")
-    reports = []
+    reports, dealings = [], []
     for hash_seed in ("0", "12345"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -597,5 +635,15 @@ def test_experiment_report_identical_across_processes(tmp_path):
             capture_output=True, env=env, timeout=300, check=True,
         )
         reports.append(proc.stdout)
+        out = tmp_path / f"deal_{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-m", "npshare.cli", "--seed", "7", "deal", "--config",
+             str(tmp_path / "deal.json"), "--secret", str(tmp_path / "secret.bin"),
+             "--out", str(out)],
+            capture_output=True, env=env, timeout=300, check=True,
+        )
+        dealings.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert json.loads(reports[0])["game"] == "dprime"
     assert reports[0] == reports[1]
+    assert sorted(dealings[0]) == ["dealing.json", "share_1.json", "share_2.json", "share_3.json"]
+    assert dealings[0] == dealings[1]

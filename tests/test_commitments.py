@@ -105,7 +105,7 @@ def test_bit_rules():
     op = sample_opening(crs, Stream(6))
     com = commit(4, op, crs)  # 4 = 0b100: bits j=0,1 zero, j=2 one
     for j in range(crs.ell):
-        block = com.block(j, crs)
+        block = (com.bits >> (j * crs.block_bits)) & ((1 << crs.block_bits) - 1)
         if (4 >> j) & 1:
             assert block ^ crs.blocks[j] == crs.prg(op.seeds[j])
         else:
@@ -326,7 +326,7 @@ def _hiding_chi2_stat(k, samples=10_000):
     for idx, value in enumerate((1, 2)):
         for _ in range(samples):
             com = commit(value, sample_opening(crs, rng), crs)
-            counts[idx][com.block(0, crs) & 0xFF] += 1
+            counts[idx][com.bits & 0xFF] += 1  # low byte of block 0
     return two_sample_chi2(counts[0], counts[1])
 
 

@@ -300,6 +300,20 @@ def test_mest_iteration_and_call_counts(leaky6):
     assert calls == 400  # 200 iterations x 2 dver calls
 
 
+def test_mest_with_leak_reader_renders_no_envelope(leaky6, monkeypatch):
+    # the leak reader reads only a ciphertext's cached fields, so no dver
+    # renders or hashes an instance: both are built on first read
+    calls = []
+    real_sha, real_bytes = serde.sha256_hex, MPrimeInstance.canonical_bytes.func
+    monkeypatch.setattr(serde, "sha256_hex", lambda data: calls.append("sha") or real_sha(data))
+    monkeypatch.setattr(MPrimeInstance, "canonical_bytes", property(
+        lambda inst: calls.append("bytes") or real_bytes(inst)))
+    mest(S0, S1, PartySet.full(6), 0.3, 6, leaky6, leak_reader(), Stream(5))
+    assert calls == []
+    leaky6.deal(S1, Stream(6)).shares[0].ciphertext.to_json()
+    assert "sha" in calls and "bytes" in calls  # reading the envelope renders both
+
+
 def test_mest_boundary_exact_n_is_zero():
     # Engineer |q0 - q1| == n exactly: a stateful distinguisher that is
     # right on the first n A0-branch calls and wrong everywhere else.

@@ -1,10 +1,12 @@
 """The induced commitment-vector language and its exhaustive search."""
 
+import dataclasses
 import json
 
 import pytest
 
 from npshare import serde
+from npshare.circuits import CnfMPrimeRelation
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import (
     MPrimeInstance,
@@ -28,7 +30,7 @@ from npshare.structures import (
     threshold_structure,
     verify,
 )
-from npshare.we import we_encrypt
+from npshare.we import WECiphertext, _payload, we_encrypt
 
 
 def honest_instance(structure, seed, k=8, expansion="splitmix64"):
@@ -202,6 +204,22 @@ def test_spliced_bytes_equal_canonical_json(backend, in_language):
     ct = we_encrypt(backend, 16, relation, b"spliced", Stream(91))
     assert ct.payload == serde.canonical_json_bytes(json.loads(ct.payload))
     assert json.loads(ct.payload)["relation"]["instance"] == inst.to_json()
+
+
+@pytest.mark.parametrize("backend", ["idealized", "leaky", "cnf"])
+def test_envelope_read_lazily_equals_eager_rendering(backend):
+    inst, _ = honest_instance(threshold_structure(3, 2), 95, expansion="toy")
+    relation = relation_for(inst, backend)
+    # the other relation class over the instance: same digest, other "type" tag
+    other = MPrimeRelation(inst) if backend == "cnf" else CnfMPrimeRelation(inst)
+    ct = we_encrypt(backend, 16, relation, b"lazy", Stream(96))
+    eager = WECiphertext(backend, inst.digest(), 4, _payload(ct.fields, relation.describe()))
+    assert (ct.payload, ct.instance_digest) == (eager.payload, eager.instance_digest)
+    assert ct.to_json() == eager.to_json() and ct == eager == ct and repr(ct) == repr(eager)
+    assert WECiphertext.from_json(ct.to_json()) == ct
+    unread = we_encrypt(backend, 16, relation, b"lazy", Stream(96))
+    assert unread.bind(other).relation is other and unread.to_json() == eager.to_json()
+    assert dataclasses.replace(we_encrypt(backend, 16, relation, b"lazy", Stream(96))) == eager
 
 
 CIRCUIT5 = circuit_structure(MonotoneCircuit(  # c1's five parties with a free input
