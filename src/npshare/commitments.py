@@ -4,7 +4,8 @@ The construction is the classic PRG-based bitwise commitment: to commit
 to an ``ell``-bit value under a CRS of ``ell`` blocks of ``3k`` bits, each
 value bit ``b_j`` is committed as ``PRG(seed_j) XOR (b_j * crs_block_j)``
 with a fresh ``k``-bit seed per bit.  Committed values live in
-``[2n] = {1, .., 2n}``, so ``ell = ceil(log2(2n+1))``.
+``[2n] = {1, .., 2n}``, so ``ell = ceil(log2(2n+1))``.  The kernel indexes
+pre-shifted per-block PRG outputs cached per ``(expansion, k, ell)``.
 
 Binding is statistical over the CRS (for a random block, the sets
 ``{PRG(s)}`` and ``{PRG(s) XOR crs_block}`` are disjoint except with
@@ -127,14 +128,18 @@ class CRS:
         return _prg_table(self.expansion, self.k) if self.k <= 12 else None
 
     @cached_property
+    def block_outputs(self) -> tuple:
+        """Per block j, ``block_outputs[j][seed] == prg(seed) << (j * 3k)``;
+        one shared object per (expansion, k, ell), never built per CRS."""
+        return _block_outputs(self.expansion, self.k, self.ell)
+
+    @cached_property
     def canonical_bytes(self) -> bytes:
         """Canonical JSON of :meth:`to_json`, rendered once per CRS."""
         return serde.canonical_json_bytes(self.to_json())
 
     def prg(self, seed: int) -> int:
-        if self.prg_table is not None:
-            return self.prg_table[0][seed]
-        return EXPANSIONS[self.expansion](seed, self.k)
+        return self.block_outputs[0][seed]
 
     def to_json(self) -> dict:
         return {
@@ -211,13 +216,11 @@ def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
         raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
     if len(opening.seeds) != crs.ell:
         raise ValueError(f"opening has {len(opening.seeds)} seeds, expected {crs.ell}")
-    k, width = crs.k, crs.block_bits
-    prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
     bits = crs.value_masks[value]
-    for j, seed in enumerate(opening.seeds):
-        if seed >> k:
-            raise ValueError("opening seed wider than k bits")
-        bits ^= prg(seed) << (j * width)
+    for out, seed in zip(crs.block_outputs, opening.seeds):
+        if seed >> crs.k:  # also true of a negative seed, which would index from the end
+            raise ValueError("opening seed outside [0, 2^k)")
+        bits ^= out[seed]
     return Commitment(bits)
 
 
@@ -227,23 +230,22 @@ def commitment_list(values, crs: CRS, rng: Stream,
     loop, building no openings unless a dict ``openings`` is given to store each
     committed value's opening under the value.  A value of None draws one
     opening's words and commits nothing (None in its place)."""
-    draw = rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)
-    mask, top, blocks, value_masks = (1 << crs.k) - 1, 2 * crs.n, crs.blocks, crs.value_masks
-    prg = crs.prg_table[0].__getitem__ if crs.prg_table is not None else crs.prg
-    shifts = range(0, len(blocks) * crs.block_bits, crs.block_bits)
+    draw, mask = (rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)), (1 << crs.k) - 1
+    top, outputs, value_masks = 2 * crs.n, crs.block_outputs, crs.value_masks
     coms = []
     for value in values:
         if value is None:
-            for _ in blocks:
+            for _ in outputs:
                 draw()
             coms.append(None)
             continue
         if not 1 <= value <= top:
             raise ValueError(f"value {value} outside [2n] = [1, {top}]")
-        seeds = [draw() & mask for _ in blocks]
-        bits = value_masks[value]
-        for seed, shift in zip(seeds, shifts):
-            bits ^= prg(seed) << shift
+        bits, seeds = value_masks[value], []
+        for out in outputs:
+            seed = draw() & mask
+            seeds.append(seed)
+            bits ^= out[seed]
         if openings is not None:
             openings[value] = Opening(tuple(seeds))
         coms.append(Commitment(bits))
@@ -269,6 +271,24 @@ def _prg_table(expansion: str, k: int) -> tuple[tuple[int, ...], dict]:
     for seed in range((1 << k) - 1, -1, -1):
         pre[outs[seed]] = seed
     return outs, pre
+
+
+class _ShiftedPrg:
+    def __init__(self, expansion: str, k: int, shift: int):
+        self.prg, self.k, self.shift = EXPANSIONS[expansion], k, shift
+
+    def __getitem__(self, seed: int) -> int:
+        return self.prg(seed, self.k) << self.shift
+
+
+@lru_cache(maxsize=32)
+def _block_outputs(expansion: str, k: int, ell: int) -> tuple:
+    """Block j's PRG outputs shifted to offset ``j * 3k``: tabled for k <= 12,
+    computed per read above."""
+    shifts = range(0, ell * 3 * k, 3 * k)
+    if k > 12:
+        return tuple(_ShiftedPrg(expansion, k, shift) for shift in shifts)
+    return tuple(tuple(out << shift for out in _prg_table(expansion, k)[0]) for shift in shifts)
 
 
 def block_preimage(crs: CRS, target: int) -> int | None:

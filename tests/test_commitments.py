@@ -113,14 +113,25 @@ def test_bit_rules():
 
 
 def test_commit_errors():
-    crs = crs_gen(4, 8, Stream(1))
-    op = sample_opening(crs, Stream(2))
-    with pytest.raises(ValueError):
-        commit(0, op, crs)
-    with pytest.raises(ValueError):
-        commit(9, op, crs)
-    with pytest.raises(ValueError):
-        commit(1, Opening(op.seeds[:-1]), crs)
+    for k in (8, 13):  # with and without a PRG table
+        crs = crs_gen(4, k, Stream(1))
+        op = sample_opening(crs, Stream(2))
+        with pytest.raises(ValueError):
+            commit(0, op, crs)
+        with pytest.raises(ValueError):
+            commit(9, op, crs)
+        with pytest.raises(ValueError):
+            commit(1, Opening(op.seeds[:-1]), crs)
+        com = commit(1, op, crs)
+        # A seed of -1 must not index the table from its end: it is refused
+        # like 2^k, and neither opens anything.
+        for bad in (1 << k, -1):
+            for j in (0, crs.ell - 1):
+                seeds = list(op.seeds)
+                seeds[j] = bad
+                with pytest.raises(ValueError, match="seed outside"):
+                    commit(1, Opening(tuple(seeds)), crs)
+                assert not verify_opening(1, Opening(tuple(seeds)), crs, com)
 
 
 def test_find_opening_errors():
@@ -232,6 +243,21 @@ def test_commit_and_find_opening_match_per_bit_reference(k, expansion, prg):
             assert find_opening(probe, com, crs) == reference_find_opening(probe, com, crs, prg)
 
 
+@pytest.mark.parametrize("expansion, prg", [("splitmix64", prg_splitmix64), ("toy", prg_toy)])
+@pytest.mark.parametrize("k", [4, 8, 13, 64])
+def test_block_outputs_are_shared_shifted_prg_outputs(k, expansion, prg):
+    """One table per (expansion, k, ell), never rebuilt per CRS; block j's
+    entry for a seed is that seed's PRG output at the block's offset."""
+    crs = crs_gen(3, k, Stream(k), expansion=expansion)
+    assert crs.block_outputs is crs_gen(3, k, Stream(k + 1), expansion=expansion).block_outputs
+    assert len(crs.block_outputs) == crs.ell
+    picker = Stream(k)
+    seeds = range(1 << k) if k <= 8 else [0, (1 << k) - 1] + [picker.bits(k) for _ in range(200)]
+    for j, out in enumerate(crs.block_outputs):
+        for seed in seeds:
+            assert out[seed] == crs.prg(seed) << (j * crs.block_bits) == prg(seed, k) << (j * 3 * k)
+
+
 @pytest.mark.parametrize("k", [4, 8, 12, 64, 80])
 def test_sample_opening_draws_like_stream_bits(k):
     crs = crs_gen(5, k, Stream(3))
@@ -243,7 +269,7 @@ def test_sample_opening_draws_like_stream_bits(k):
 
 @pytest.mark.parametrize("expansion", ["splitmix64", "toy"])
 @pytest.mark.parametrize("n", [1, 3, 6])
-@pytest.mark.parametrize("k", [4, 8, 12, 13, 64, 65])
+@pytest.mark.parametrize("k", [4, 8, 10, 12, 13, 64, 65])
 def test_commitment_list_equals_per_opening_commits(k, n, expansion):
     """The fused list makes the draws and commitments of one sample_opening
     and one commit per value, on both sides of the PRG table (k <= 12) and
