@@ -301,19 +301,11 @@ def _exactly_one(bd: Builder, ws):
     return bd.and_(at_least, bd.not_(clash))
 
 
-def _threshold_predicate(bd: Builder, x_wires, t: int):
-    return _geq_const(bd, _popcount(bd, x_wires), t)
-
-
 def _circuit_predicate(bd: Builder, payload: MonotoneCircuit, x_wires, free_wires):
+    ops = {"and": bd.and_, "or": bd.or_, "not": bd.not_}
     wires = list(x_wires) + list(free_wires)
-    for gate in payload.gates:
-        if gate[0] == "and":
-            wires.append(bd.and_(wires[gate[1]], wires[gate[2]]))
-        elif gate[0] == "or":
-            wires.append(bd.or_(wires[gate[1]], wires[gate[2]]))
-        else:
-            wires.append(bd.not_(wires[gate[1]]))
+    for op, *refs in payload.gates:
+        wires.append(ops[op](*(wires[r] for r in refs)))
     return wires[payload.output]
 
 
@@ -449,7 +441,7 @@ def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
 
     inner_wires = [meta.inner_offset + t for t in range(inner_len)]
     if structure.kind == "threshold":
-        out = _threshold_predicate(bd, x_wires, structure.payload)
+        out = _geq_const(bd, _popcount(bd, x_wires), structure.payload)
     elif structure.kind == "monotone-circuit":
         out = _circuit_predicate(bd, structure.payload, x_wires, inner_wires)
     elif structure.kind == "hamiltonian":
@@ -543,7 +535,5 @@ class CnfMPrimeRelation(MPrimeRelation):
             try:
                 witness = [bool(b) for b in witness]
             except TypeError:
-                return False
-            if len(witness) < self.cnf.num_vars:
                 return False
         return check_assignment(self.cnf, witness)

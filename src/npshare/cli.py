@@ -184,15 +184,12 @@ def _experiment_context(config, seed) -> tuple:
     p_unq = _get(sampler_cfg, "p_unqualified", float, _get(config, "p_unqualified", float, 0.3))
     sampler = harness.mixed_sampler(structure, p_unq, secret_len)
     dname = _get(config, "distinguisher", str, "leak-reader")
-    if dname == "leak-reader":
-        distinguisher = harness.leak_reader()
-    elif dname == "constant-0":
-        distinguisher = harness.constant_distinguisher(0)
-    elif dname == "shape-reader":
-        distinguisher = harness.shape_distinguisher()
-    else:
+    factory = {"leak-reader": harness.leak_reader,
+               "constant-0": lambda: harness.constant_distinguisher(0),
+               "shape-reader": harness.shape_distinguisher}.get(dname)
+    if factory is None:
         raise ConfigError(f"unknown distinguisher {dname!r}")
-    return ctx, sampler, distinguisher, secret_len
+    return ctx, sampler, factory(), secret_len
 
 
 def _run_experiment(config, seed) -> dict:
@@ -314,20 +311,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[args.fn](args)  # looked up now, so a rebound cmd_* applies
-    except MixedDealingError as exc:
+    except (ValueError, OSError, WeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MIXED
-    except (ConfigError, MissingShareError, WeError) as exc:
+        if isinstance(exc, MixedDealingError):
+            return EXIT_MIXED
         # a member of X without a share file is an input problem
-        code = EXIT_IO if isinstance(exc, MissingShareError) else EXIT_CONFIG
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_IO if isinstance(exc, (MissingShareError, OSError)) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

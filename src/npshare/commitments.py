@@ -42,13 +42,7 @@ def value_bit_length(n: int) -> int:
 
 def prg_splitmix64(seed: int, k: int) -> int:
     """First 3k bits of the SplitMix64 stream seeded with ``seed``."""
-    stream = Stream(seed)
-    out = 0
-    shift = 0
-    while shift < 3 * k:
-        out |= stream.next64() << shift
-        shift += 64
-    return out & ((1 << (3 * k)) - 1)
+    return Stream(seed).bits(3 * k)
 
 
 def prg_toy(seed: int, k: int) -> int:
@@ -195,11 +189,9 @@ class Commitment:
 
 
 def crs_gen(n: int, k: int, rng: Stream, expansion: str = "splitmix64") -> CRS:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    nbits = value_bit_length(n) * 3 * k  # refuses n < 1 before k is read
     if k < 4:
         raise ValueError("seed length k must be >= 4")
-    nbits = value_bit_length(n) * 3 * k
     return CRS(n=n, k=k, bits=rng.bits(nbits), expansion=expansion)
 
 
@@ -306,19 +298,11 @@ def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
     """
     if not 1 <= value <= 2 * crs.n:
         raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
-    if crs.prg_table is None:
-        raise ValueError("exhaustive block search limited to k <= 12")
-    pre, width = crs.prg_table[1], crs.block_bits
-    mask = (1 << width) - 1
     targets = com.bits ^ crs.value_masks[value]  # block j: the PRG output seed j needs
-    seeds = []
-    for _ in crs.blocks:
-        seed = pre.get(targets & mask)
-        if seed is None:
-            return None
-        seeds.append(seed)
-        targets >>= width
-    return Opening(tuple(seeds))
+    mask = (1 << crs.block_bits) - 1
+    seeds = tuple(block_preimage(crs, (targets >> shift) & mask)
+                  for shift in range(0, crs.total_bits, crs.block_bits))
+    return None if None in seeds else Opening(seeds)
 
 
 def supports_disjoint(crs: CRS, v1: int, v2: int) -> bool:
@@ -329,15 +313,14 @@ def supports_disjoint(crs: CRS, v1: int, v2: int) -> bool:
     collide if *every* differing block admits a collision.  Equal values
     trivially share their own support, so the answer there is False.
     """
-    if crs.k > 12:
+    if crs.prg_table is None:
         raise ValueError("exhaustive support check limited to k <= 12")
     for v in (v1, v2):
         if not 1 <= v <= 2 * crs.n:
             raise ValueError(f"value {v} outside [2n]")
     if v1 == v2:
         return False
-    outs, _ = _prg_table(crs.expansion, crs.k)
-    image = set(outs)
+    image = set(crs.prg_table[0])
     for j in range(crs.ell):
         if ((v1 ^ v2) >> j) & 1:
             crs_block = crs.blocks[j]

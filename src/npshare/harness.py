@@ -175,6 +175,24 @@ def bias_estimate(s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext, D,
     return _report("bias", trials, count0, count1, delta, master_seed)
 
 
+def _game(game: str, scheme: SchemeContext, trial, trials: int, master_seed: int,
+          delta: float) -> GameReport:
+    """The ind and sem games' one trial loop.  ``trial(rng)`` plays trial t
+    on ``Stream(derive_seed(master_seed, t))`` and returns (X, hit0, hit1);
+    a hit counts only when M(X) = 0."""
+    if trials < 100:
+        raise ValueError("games need at least 100 trials")
+    qualified(scheme.structure, PartySet.empty(scheme.n))  # refuse infeasible decisions early
+    count0 = count1 = mx0 = 0
+    for t in range(trials):
+        X, hit0, hit1 = trial(Stream(derive_seed(master_seed, t)))
+        if not qualified(scheme.structure, X):
+            mx0 += 1
+            count0 += bool(hit0)
+            count1 += bool(hit1)
+    return _report(game, trials, count0, count1, delta, master_seed, mx0)
+
+
 def ind_game(scheme: SchemeContext, sampler, D, trials: int, master_seed: int,
              delta: float = 0.01) -> GameReport:
     """Indistinguishability game: the gap between D's acceptance of
@@ -185,46 +203,32 @@ def ind_game(scheme: SchemeContext, sampler, D, trials: int, master_seed: int,
     M(X) = 0 in ``extra`` (the definition's quantity is the
     unconditioned conjunction).
     """
-    if trials < 100:
-        raise ValueError("games need at least 100 trials")
-    qualified(scheme.structure, PartySet.empty(scheme.n))  # refuse infeasible decisions early
-    count0 = count1 = mx0 = 0
-    for t in range(trials):
-        rng = Stream(derive_seed(master_seed, t))
+
+    def trial(rng: Stream):
         s0, s1, X, sigma = sampler(rng)
         if len(s0) != len(s1):
             raise ValueError("sampler must emit equal-length secrets")
-        unqualified = not qualified(scheme.structure, X)
-        mx0 += unqualified
         dealing0 = scheme.deal(s0, rng)
-        if D(s0, s1, shares_of(dealing0, X), sigma, rng) == 1 and unqualified:
-            count0 += 1
+        hit0 = D(s0, s1, shares_of(dealing0, X), sigma, rng) == 1
         dealing1 = scheme.deal(s1, rng)
-        if D(s0, s1, shares_of(dealing1, X), sigma, rng) == 1 and unqualified:
-            count1 += 1
-    return _report("ind", trials, count0, count1, delta, master_seed, mx0)
+        return X, hit0, D(s0, s1, shares_of(dealing1, X), sigma, rng) == 1
+
+    return _game("ind", scheme, trial, trials, master_seed, delta)
 
 
 def sem_game(scheme: SchemeContext, sampler, learner, simulator, f, trials: int,
              master_seed: int, delta: float = 0.01) -> GameReport:
     """Unlearnability game: how much better the learner predicts f(S)
     from the shares of X than the simulator does from X alone."""
-    if trials < 100:
-        raise ValueError("games need at least 100 trials")
-    qualified(scheme.structure, PartySet.empty(scheme.n))
-    count0 = count1 = mx0 = 0
-    for t in range(trials):
-        rng = Stream(derive_seed(master_seed, t))
+
+    def trial(rng: Stream):
         s, X, sigma = sampler(rng)
-        unqualified = not qualified(scheme.structure, X)
-        mx0 += unqualified
         target = f(s)
         dealing = scheme.deal(s, rng)
-        if learner(shares_of(dealing, X), sigma, rng) == target and unqualified:
-            count0 += 1
-        if simulator(X, sigma, rng) == target and unqualified:
-            count1 += 1
-    return _report("sem", trials, count0, count1, delta, master_seed, mx0)
+        hit0 = learner(shares_of(dealing, X), sigma, rng) == target
+        return X, hit0, simulator(X, sigma, rng) == target
+
+    return _game("sem", scheme, trial, trials, master_seed, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +462,7 @@ def leak_reader():
     def D(s0, s1, shares, sigma, rng):
         if not shares:
             return 0
-        leaked = leak_message(shares[0].ciphertext)
-        if leaked is None:
-            return 0
-        return 1 if leaked == s1 else 0
+        return 1 if leak_message(shares[0].ciphertext) == s1 else 0
 
     return D
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import json
 
 from . import serde
+from .circuits import CnfMPrimeRelation
 from .commitments import CRS, Commitment, Opening, commitment_list, crs_gen
 from .induced import MPrimeInstance, MPrimeRelation, assemble_witness
 from .rng import Stream, derive_seed
@@ -104,11 +105,7 @@ class Dealing:
 
 def relation_for(inst: MPrimeInstance, backend: str):
     """The relation object a backend encrypts against."""
-    if backend == "cnf":
-        from .circuits import CnfMPrimeRelation
-
-        return CnfMPrimeRelation(inst)
-    return MPrimeRelation(inst)
+    return (CnfMPrimeRelation if backend == "cnf" else MPrimeRelation)(inst)
 
 
 def default_expansion(backend: str) -> str:

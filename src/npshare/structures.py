@@ -135,14 +135,16 @@ class MonotoneCircuit:
     output: int
 
     def __post_init__(self):
+        if min(self.n_std, self.n_free) < 0:
+            raise ValueError("input counts must be non-negative")
         n_in = self.n_std + self.n_free
         tainted = [True] * self.n_std + [False] * self.n_free
         for idx, gate in enumerate(self.gates):
-            op = gate[0]
+            op = gate[0] if gate else None
             refs = gate[1:]
             if op not in ("and", "or", "not") or len(refs) != (1 if op == "not" else 2):
                 raise ValueError(f"bad gate {gate!r}")
-            if any(not 0 <= r < n_in + idx for r in refs):
+            if any(type(r) is not int or not 0 <= r < n_in + idx for r in refs):
                 raise ValueError(f"gate {idx} references an undefined wire")
             taint = any(tainted[r] for r in refs)
             if op == "not" and taint:
@@ -168,9 +170,9 @@ class MonotoneCircuit:
     def from_json(cls, n_std: int, obj: dict) -> "MonotoneCircuit":
         return cls(
             n_std=n_std,
-            n_free=int(obj["free"]),
-            gates=tuple(tuple(g) for g in obj["gates"]),
-            output=int(obj["output"]),
+            n_free=serde.require(obj, "free", int),
+            gates=tuple(tuple(g) for g in serde.require(obj, "gates", list)),
+            output=serde.require(obj, "output", int),
         )
 
 
@@ -202,10 +204,10 @@ class AccessStructure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AccessStructure":
-        kind, n = obj["kind"], int(obj["n"])
+        kind, n = serde.require(obj, "kind", str), serde.require(obj, "n", int)
         if kind == "monotone-circuit":
-            return cls(kind, n, MonotoneCircuit.from_json(n, obj["payload"]))
-        return cls(kind, n, int(obj["payload"]))
+            return cls(kind, n, MonotoneCircuit.from_json(n, serde.require(obj, "payload", dict)))
+        return cls(kind, n, serde.require(obj, "payload", int))
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -366,6 +368,11 @@ def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -
     return False
 
 
+def _members(packed: int) -> frozenset[int]:
+    """The parties at the set bits of ``packed``, bit 0 being party 1, in one pass."""
+    return frozenset(i for i, bit in enumerate(bin(packed)[:1:-1], 1) if bit == "1")
+
+
 def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
                       trials: int = 1000, rng_seed: int = 0) -> bool:
     """True iff no violating pair X <= Y with M(X)=1, M(Y)=0 is found.
@@ -376,16 +383,10 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
     if mode == "exhaustive":
         if n > 12:
             raise ValueError("exhaustive monotonicity check limited to n <= 12")
-        table = {}
+        table = [predicate(_members(packed)) for packed in range(1 << n)]
         for packed in range(1 << n):
-            members = frozenset(i + 1 for i in range(n) if (packed >> i) & 1)
-            table[packed] = predicate(members)
-        for packed in range(1 << n):
-            if not table[packed]:
-                continue
-            for i in range(n):
-                if not (packed >> i) & 1 and not table[packed | (1 << i)]:
-                    return False
+            if table[packed] and not all(table[packed | (1 << i)] for i in range(n)):
+                return False
         return True
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
@@ -393,9 +394,7 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
     for _ in range(trials):
         x_packed = rng.bits(n)
         y_packed = x_packed | rng.bits(n)
-        x = frozenset(i + 1 for i in range(n) if (x_packed >> i) & 1)
-        y = frozenset(i + 1 for i in range(n) if (y_packed >> i) & 1)
-        if predicate(x) and not predicate(y):
+        if predicate(_members(x_packed)) and not predicate(_members(y_packed)):
             return False
     return True
 

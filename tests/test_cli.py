@@ -13,17 +13,20 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npshare import cli, harness
 from npshare.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_MIXED,
     EXIT_OK,
     EXIT_REJECTED,
+    ConfigError,
     main,
 )
 from npshare.rng import Stream
-from npshare.scheme import setup
+from npshare.scheme import MissingShareError, MixedDealingError, setup
 from npshare.structures import AccessStructure
+from npshare.we import CorruptCiphertext, WeError
 
 
 @pytest.fixture
@@ -135,6 +138,52 @@ def test_structure_check(workdir, capsys):
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["monotone"] is True
+
+
+@pytest.mark.parametrize("structure", [
+    {"kind": "threshold", "n": 3, "payload": 0},
+    {"kind": "threshold", "n": 3, "payload": 4},
+    {"kind": "threshold", "n": 3, "payload": 2.7},
+    {"kind": "threshold", "n": 3, "payload": True},
+    {"kind": "threshold", "n": "3", "payload": 2},
+    {"kind": "threshold", "n": 3},
+    {"kind": 5, "n": 3, "payload": 2},
+    {"kind": "tree", "n": 3, "payload": 2},
+    {"kind": "hamiltonian", "n": 1, "payload": 2},
+    {"kind": "matching", "n": 5, "payload": 4},
+    {"kind": "monotone-circuit", "n": 2, "payload": 2},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["nand", 0, 1]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["and", 0]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2, "payload": {"free": 0, "gates": [[]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2, "payload": {"free": 0, "gates": [5], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["and", 0, 2]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["and", 0, 1]], "output": 3}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["and", 0, True]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["or", 0, 1.0]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": 0, "gates": [["and", 0, 1]], "output": True}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": -1, "gates": [["and", 0, 1]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2,
+     "payload": {"free": "1", "gates": [["and", 0, 1]], "output": 2}},
+    {"kind": "monotone-circuit", "n": 2, "payload": {"free": 0, "gates": {}, "output": 2}},
+], ids=["threshold-0", "threshold-n+1", "payload-2.7", "payload-true", "n-string",
+        "no-payload", "kind-number", "kind-unknown", "v-2", "n-not-v-choose-2",
+        "circuit-payload-int", "bad-op", "bad-arity", "empty-gate", "gate-number",
+        "forward-wire", "output-out-of-range", "wire-true", "wire-float", "output-true",
+        "free-negative", "free-string", "gates-object"])
+def test_structure_check_rejects_malformed_description(workdir, capsys, structure):
+    (workdir / "s.json").write_text(json.dumps(structure))
+    assert run("structure", "check", "--structure", workdir / "s.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: bad structure description: [^\n]+\n", captured.err), captured.err
 
 
 def test_experiment_ind_report_bundled_config(workdir):
@@ -611,6 +660,87 @@ def test_experiment_dprime_golden_report(workdir):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     assert (report["accept_a0"], report["accept_a1"]) == (1.0, 0.2)
+
+
+GAME_CONFIG = {"structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend": "leaky",
+               "trials": 100}
+GOLDEN_REPORTS = {
+    ("sem", "leak-reader"): "6ece73a01442f8b967cc90e0edb515330efb47220b4025214ba86fa65e5c2624",
+    ("equiv", "leak-reader"): "9cf4dbc59284058b46fc996c732967696718e3ad4ddce20aa946dce2b9434bb8",
+    ("ind", "constant-0"): "93396dffe03f58c250942c5316bfaaa78343572aeee2b68d1041edfc0e3addf1",
+    ("ind", "shape-reader"): "93396dffe03f58c250942c5316bfaaa78343572aeee2b68d1041edfc0e3addf1",
+}
+
+
+@pytest.mark.parametrize("game, distinguisher", sorted(GOLDEN_REPORTS))
+def test_experiment_game_golden_report(workdir, game, distinguisher):
+    # the sem and equiv modes and the ind game under the stock distinguishers
+    # other than leak-reader: their report bytes at seed 5 are pinned
+    (workdir / "g.json").write_text(json.dumps({**GAME_CONFIG, "distinguisher": distinguisher}))
+    out = workdir / "g_report.json"
+    assert run("--seed", 5, "experiment", game, "--config", workdir / "g.json",
+               "--out", out) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORTS[game, distinguisher]
+
+
+@pytest.mark.parametrize("name, factory, args", [
+    ("leak-reader", "leak_reader", ()),
+    ("constant-0", "constant_distinguisher", (0,)),
+    ("shape-reader", "shape_distinguisher", ()),
+])
+def test_experiment_distinguisher_name_builds_its_factory(workdir, monkeypatch, name, factory,
+                                                         args):
+    calls = []
+    for attr in ("leak_reader", "constant_distinguisher", "shape_distinguisher"):
+        def fake(*given, attr=attr):
+            calls.append((attr, given))
+            return lambda s0, s1, shares, sigma, rng: 0
+        monkeypatch.setattr(harness, attr, fake)
+    (workdir / "d.json").write_text(json.dumps({**GAME_CONFIG, "distinguisher": name}))
+    assert run("experiment", "ind", "--config", workdir / "d.json") == EXIT_OK
+    assert calls == [(factory, args)]
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"distinguisher": "oracle"}, "unknown distinguisher 'oracle'"),
+    ({"sampler": {"kind": "fixed"}}, "unknown sampler kind 'fixed'"),
+    ({"game": "zk"}, "unknown game 'zk'"),
+], ids=["distinguisher", "sampler-kind", "game"])
+def test_experiment_unknown_name_exit_2(workdir, capsys, extra, message):
+    (workdir / "u.json").write_text(json.dumps({**GAME_CONFIG, **extra}))
+    assert run("experiment", "--config", workdir / "u.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("exc, code", [
+    (MixedDealingError, EXIT_MIXED),
+    (MissingShareError, EXIT_IO),
+    (OSError, EXIT_IO),
+    (FileNotFoundError, EXIT_IO),
+    (ConfigError, EXIT_CONFIG),
+    (WeError, EXIT_CONFIG),
+    (CorruptCiphertext, EXIT_CONFIG),
+    (ValueError, EXIT_CONFIG),
+])
+def test_main_maps_exceptions_to_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_deal", fail)
+    assert run("deal", "--config", "c", "--secret", "s", "--out", "o") == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_main_lets_other_exceptions_propagate(monkeypatch):
+    def fail(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_deal", fail)
+    with pytest.raises(KeyError):
+        run("deal", "--config", "c", "--secret", "s", "--out", "o")
 
 
 def test_experiment_report_identical_across_processes(tmp_path):

@@ -134,6 +134,17 @@ def test_commit_errors():
                 assert not verify_opening(1, Opening(tuple(seeds)), crs, com)
 
 
+@pytest.mark.parametrize("n, k, message", [
+    (0, 8, "n must be >= 1"), (-1, 8, "n must be >= 1"), (0, 1, "n must be >= 1"),
+    (3, 3, "k must be >= 4"), (3, -1, "k must be >= 4"),
+])
+def test_crs_gen_refuses_bad_n_then_bad_k_before_drawing(n, k, message):
+    rng = Stream(4)
+    with pytest.raises(ValueError, match=message):
+        crs_gen(n, k, rng)
+    assert rng.state == Stream(4).state
+
+
 def test_find_opening_errors():
     crs = crs_gen(4, 8, Stream(1))
     com = commit(1, sample_opening(crs, Stream(2)), crs)

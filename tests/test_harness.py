@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
@@ -476,6 +477,63 @@ def test_games_refuse_infeasible_ground_truth():
     with pytest.raises(ValueError):
         ind_game(ctx, fixed_sampler(S0, S1, PartySet.of(21, {1})),
                  constant_distinguisher(0), 100, master_seed=95)
+
+
+@pytest.mark.parametrize("eps, n", [(0, 6), (-0.5, 6), (1.5, 6), (0.3, 5), (0.3, 7)])
+def test_mest_and_dprime_refuse_bad_eps_or_n_before_drawing(leaky6, eps, n):
+    rng = Stream(0x7E)
+    coms = leaky6.a0_commitments(Stream(1))
+    with pytest.raises(ValueError):
+        mest(S0, S1, PartySet.full(6), eps, n, leaky6, leak_reader(), rng)
+    with pytest.raises(ValueError):
+        dprime(coms, eps, n, fixed_sampler(S0, S1, PartySet.full(6)), leak_reader(), leaky6, rng)
+    assert rng.state == Stream(0x7E).state
+
+
+@pytest.mark.parametrize("trials", [99, 0, -1])
+def test_games_refuse_fewer_than_100_trials(leaky6, trials):
+    samp = mixed_sampler(leaky6.structure, 0.3, 4)
+    with pytest.raises(ValueError, match="100 trials"):
+        ind_game(leaky6, samp, constant_distinguisher(0), trials, master_seed=1)
+    with pytest.raises(ValueError, match="100 trials"):
+        sem_game(leaky6, sem_view(samp), leak_learner(), guess_simulator(4), lambda s: s,
+                 trials, master_seed=1)
+
+
+def test_ind_game_refuses_unequal_length_secrets(leaky6):
+    with pytest.raises(ValueError, match="equal-length"):
+        ind_game(leaky6, fixed_sampler(b"AB", b"ABC", PartySet.of(6, {1})),
+                 constant_distinguisher(0), 100, master_seed=1)
+
+
+def test_games_run_every_trial_and_count_python_ints(leaky6):
+    # D and the learner run on qualified trials too; a hit counts only when
+    # M(X) = 0, and the counts stay ints whatever type the adversary answers in
+    samp = mixed_sampler(leaky6.structure, 0.3, 4)
+    calls = []
+
+    def D(s0, s1, shares, sigma, rng):
+        calls.append("D")
+        return np.int64(1)
+
+    def learner(shares, sigma, rng):
+        calls.append("learner")
+        return np.int64(7)
+
+    def simulator(X, sigma, rng):
+        calls.append("simulator")
+        return np.int64(7)
+
+    ind = ind_game(leaky6, samp, D, 120, master_seed=5)
+    assert calls == ["D"] * 240
+    calls.clear()
+    sem = sem_game(leaky6, sem_view(samp), learner, simulator, lambda s: 7, 120, master_seed=5)
+    assert calls == ["learner", "simulator"] * 120
+    for report in (ind, sem):
+        assert 0 < report.extra["mx0_trials"] < 120
+        assert report.count0 == report.count1 == report.extra["mx0_trials"]
+        assert all(type(c) is int for c in (report.count0, report.count1,
+                                            report.extra["mx0_trials"]))
 
 
 def test_sem_game_constant_f_zero_gap(leaky6):

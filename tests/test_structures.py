@@ -1,5 +1,6 @@
 """Access structures: verifiers, decisions, monotonicity."""
 
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -151,6 +152,24 @@ def test_check_monotone_planted_violation():
 
     assert check_monotone_fn(3, broken, mode="exhaustive") is False
     assert check_monotone_fn(3, broken, mode="sampled", trials=500, rng_seed=1) is False
+
+
+def test_check_monotone_queries_are_pinned():
+    # the subsets each mode hands the predicate, in order; the sampled mode
+    # draws y before it asks about x, so a failed x still consumes y's words
+    seen = []
+
+    def at_least_3(members):
+        seen.append(tuple(sorted(members)))
+        return len(members) >= 3
+
+    assert check_monotone_fn(4, at_least_3, mode="exhaustive") is True
+    assert seen == [tuple(i + 1 for i in range(4) if (p >> i) & 1) for p in range(16)]
+    seen.clear()
+    assert check_monotone_fn(5, at_least_3, mode="sampled", trials=50, rng_seed=3) is True
+    assert len(seen) == 73
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "a1ae7f6d4e9287f9ffa37192dab26d2cbec904bb64544ad8b8a670673ecb74a7")
 
 
 def test_check_monotone_sampled_mode():
