@@ -71,13 +71,6 @@ class BooleanCircuit:
     output: "int | bool"
     meta: CompileMeta | None = field(default=None, repr=False)
 
-    def to_json(self) -> dict:
-        return {
-            "inputs": self.n_inputs,
-            "gates": [list(g) for g in self.gates],
-            "output": self.output,
-        }
-
 
 class Builder:
     """Gate emitter with constant folding and structural deduplication."""

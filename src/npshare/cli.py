@@ -19,7 +19,6 @@ from . import harness, serde
 from .induced import witness_from_json
 from .rng import Stream, derive_seed
 from .scheme import (
-    DEALING_FORMAT,
     MissingShareError,
     MixedDealingError,
     recon,
@@ -118,8 +117,7 @@ def cmd_deal(args) -> int:
                     **_scheme_options(config, "idealized"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    public = {"format": DEALING_FORMAT, "instance": dealing.public.to_json()}
-    (out / "dealing.json").write_bytes(serde.canonical_json_bytes(public))
+    (out / "dealing.json").write_bytes(serde.canonical_json_bytes(dealing.to_json()))
     for share in dealing.shares:
         (out / f"share_{share.party}.json").write_bytes(share_serialize(share))
     print(f"wrote dealing.json and {len(dealing.shares)} share files to {out}")
@@ -133,8 +131,6 @@ def cmd_recon(args) -> int:
             shares.append(share_parse(Path(path).read_bytes()))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    if not shares:
-        raise ConfigError("no share files given")
     X = _parse_parties(args.parties, shares[0].header.n)
     inner = None
     if args.witness is not None:
@@ -192,34 +188,16 @@ def _experiment_context(config, seed) -> tuple:
     return ctx, sampler, factory(), secret_len
 
 
+GAMES = ("ind", "sem", "dprime", "hybrid", "equiv")
+
+
 def _run_experiment(config, seed) -> dict:
     game = _get(config, "game", str, "ind")
     trials = _get(config, "trials", int, 1000, lambda v: v > 0, "a positive integer")
     delta = _get(config, "delta", float, 0.01, lambda v: 0 < v < 1, "a number in (0, 1)")
     eps = _get(config, "epsilon", float, 0.3)
-    if game == "ind":
-        ctx, sampler, D, _ = _experiment_context(config, seed)
-        report = harness.ind_game(ctx, sampler, D, trials, master_seed=seed, delta=delta)
-        return report.to_json()
-    if game == "sem":
-        ctx, sampler, _, secret_len = _experiment_context(config, seed)
-        report = harness.sem_game(
-            ctx, harness.sem_view(sampler), harness.leak_learner(),
-            harness.guess_simulator(secret_len), lambda s: s,
-            trials, master_seed=seed, delta=delta,
-        )
-        return report.to_json()
-    if game == "dprime":
-        ctx, sampler, D, _ = _experiment_context(config, seed)
-        runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
-        c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs, lambda t: (
-            derive_seed(seed, 2 * t), derive_seed(seed, 4_000_000 + t),
-            derive_seed(seed, 2 * t + 1), derive_seed(seed, 5_000_000 + t)))
-        return {
-            "game": "dprime", "runs": runs, "epsilon": eps, "master_seed": seed,
-            "accept_a0": c0 / runs, "accept_a1": c1 / runs,
-            "gap": abs(c0 - c1) / runs,
-        }
+    if game not in GAMES:
+        raise ConfigError(f"unknown game {game!r}")
     if game == "hybrid":
         n = _get(config, "n", int, 8, lambda v: v > 0, "a positive integer")
         position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
@@ -231,22 +209,40 @@ def _run_experiment(config, seed) -> dict:
             delta=delta,
         )
         return loc.to_json()
-    if game == "equiv":
-        ctx, sampler, _, secret_len = _experiment_context(config, seed)
-        samp2, d2 = harness.sem_to_ind(harness.sem_view(sampler), harness.leak_learner(),
-                                       lambda s: s)
-        ind_report = harness.ind_game(ctx, samp2, d2, trials, master_seed=seed, delta=delta)
-        t_bits = 8 * secret_len
-        transformed = harness.ind_to_sem(sampler, harness.leak_reader(), t_bits,
-                                         probe_seed=seed)
+    ctx, sampler, D, secret_len = _experiment_context(config, seed)
+    if game == "ind":
+        report = harness.ind_game(ctx, sampler, D, trials, master_seed=seed, delta=delta)
+        return report.to_json()
+    if game == "sem":
+        report = harness.sem_game(
+            ctx, harness.sem_view(sampler), harness.leak_learner(),
+            harness.guess_simulator(secret_len), lambda s: s,
+            trials, master_seed=seed, delta=delta,
+        )
+        return report.to_json()
+    if game == "dprime":
+        runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
+        c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs, lambda t: (
+            derive_seed(seed, 2 * t), derive_seed(seed, 4_000_000 + t),
+            derive_seed(seed, 2 * t + 1), derive_seed(seed, 5_000_000 + t)))
         return {
-            "game": "equiv",
-            "sem_to_ind": ind_report.to_json(),
-            "ind_to_sem_dictators": list(transformed.dictators),
-            "ind_to_sem_dictators_empty": not transformed.dictators,
-            "master_seed": seed,
+            "game": "dprime", "runs": runs, "epsilon": eps, "master_seed": seed,
+            "accept_a0": c0 / runs, "accept_a1": c1 / runs,
+            "gap": abs(c0 - c1) / runs,
         }
-    raise ConfigError(f"unknown game {game!r}")
+    samp2, d2 = harness.sem_to_ind(harness.sem_view(sampler), harness.leak_learner(),
+                                   lambda s: s)
+    ind_report = harness.ind_game(ctx, samp2, d2, trials, master_seed=seed, delta=delta)
+    t_bits = 8 * secret_len
+    transformed = harness.ind_to_sem(sampler, harness.leak_reader(), t_bits,
+                                     probe_seed=seed)
+    return {
+        "game": "equiv",
+        "sem_to_ind": ind_report.to_json(),
+        "ind_to_sem_dictators": list(transformed.dictators),
+        "ind_to_sem_dictators_empty": not transformed.dictators,
+        "master_seed": seed,
+    }
 
 
 def cmd_experiment(args) -> int:
@@ -298,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn="cmd_structure_check")
 
     p_exp = sub.add_parser("experiment", help="run a harness experiment from a config")
-    p_exp.add_argument("game", nargs="?", default=None,
-                       choices=("ind", "sem", "dprime", "hybrid", "equiv"))
+    p_exp.add_argument("game", nargs="?", default=None, choices=GAMES)
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", default=None, help="also write the report JSON here")
     p_exp.set_defaults(fn="cmd_experiment")

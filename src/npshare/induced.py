@@ -169,19 +169,16 @@ def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
 class MPrimeRelation:
     """Relation wrapper handed to the witness-encryption backends; ``tag``
     is the ``"type"`` :meth:`describe` writes, by which ``we.load_relation``
-    rebuilds it.  The instance digest is computed on first request."""
+    rebuilds it.  Nothing is cached here: the instance renders its bytes once,
+    and a ciphertext keeps the digest it reads."""
 
     tag = "mprime"
 
     def __init__(self, instance: MPrimeInstance):
         self.instance = instance
-        self._digest: str | None = None
-        self._in_language: bool | None = None
 
     def instance_digest(self) -> str:
-        if self._digest is None:
-            self._digest = self.instance.digest()
-        return self._digest
+        return self.instance.digest()
 
     def check(self, witness) -> bool:
         if not isinstance(witness, MPrimeWitness):
@@ -190,11 +187,8 @@ class MPrimeRelation:
 
     def in_language(self) -> bool:
         """``exhaustive_witness_search(instance) is not None``, building no witness."""
-        if self._in_language is None:  # an inner witness may be None, so not any(...)
-            inst = self.instance
-            self._in_language = any(True for _ in inner_witnesses(inst.structure,
-                                                                  _openable_set(inst)))
-        return self._in_language
+        inst = self.instance  # an inner witness may be None, so not any(...)
+        return any(True for _ in inner_witnesses(inst.structure, _openable_set(inst)))
 
     def describe(self) -> bytes:
         """Canonical JSON of ``{"instance": ..., "type": tag}``, spliced

@@ -48,6 +48,9 @@ class Stream:
 
     def bits(self, nbits: int) -> int:
         """``nbits`` uniform bits, 64-bit words concatenated little-endian."""
+        if nbits > 8192:  # one join: past ~128 words the OR chain's copies cost more
+            data = b"".join(self.next64().to_bytes(8, "little") for _ in range(0, nbits, 64))
+            return int.from_bytes(data, "little") & ((1 << nbits) - 1)
         out = 0
         shift = 0
         while shift < nbits:

@@ -96,11 +96,8 @@ class Dealing:
     public: MPrimeInstance
 
     def to_json(self) -> dict:
-        return {
-            "format": DEALING_FORMAT,
-            "instance": self.public.to_json(),
-            "shares": [s.to_json() for s in self.shares],
-        }
+        """The public record ``npshare deal`` writes as ``dealing.json``."""
+        return {"format": DEALING_FORMAT, "instance": self.public.to_json()}
 
 
 def relation_for(inst: MPrimeInstance, backend: str):

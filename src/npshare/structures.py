@@ -390,6 +390,8 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
         return True
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if trials < 1:
+        raise ValueError(f"sampled monotonicity check needs trials >= 1, got {trials}")
     rng = Stream(rng_seed)
     for _ in range(trials):
         x_packed = rng.bits(n)

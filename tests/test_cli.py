@@ -140,6 +140,17 @@ def test_structure_check(workdir, capsys):
     assert report["monotone"] is True
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_structure_check_sampled_refuses_no_trials(workdir, capsys, trials):
+    (workdir / "t.json").write_text(json.dumps({"kind": "threshold", "n": 3, "payload": 2}))
+    assert run("structure", "check", "--structure", workdir / "t.json", "--mode", "sampled",
+               "--trials", trials) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: sampled monotonicity check needs trials >= 1, got {trials}\n")
+
+
 @pytest.mark.parametrize("structure", [
     {"kind": "threshold", "n": 3, "payload": 0},
     {"kind": "threshold", "n": 3, "payload": 4},
@@ -669,14 +680,19 @@ GOLDEN_REPORTS = {
     ("equiv", "leak-reader"): "9cf4dbc59284058b46fc996c732967696718e3ad4ddce20aa946dce2b9434bb8",
     ("ind", "constant-0"): "93396dffe03f58c250942c5316bfaaa78343572aeee2b68d1041edfc0e3addf1",
     ("ind", "shape-reader"): "93396dffe03f58c250942c5316bfaaa78343572aeee2b68d1041edfc0e3addf1",
+    ("ind", "leak-reader"): "1a2c8f47afebf1f396f3428b53a9278191e05bb73df44fc296b3afe0dee4fdc0",
+    ("dprime", "leak-reader"): "cdbe89362d5a7f2d29242b4c554bbb0b58dd654a03e8c1cb32eceaf6b3d34912",
+    ("hybrid", "leak-reader"): "23630490e69e4ce6005367a2cff26ec765489830e3c00e735865ab6c0e2378c3",
 }
+GAME_OVERRIDES = {"dprime": {"runs": 3}, "hybrid": {"n": 4}}  # each case runs well under 1 s
 
 
 @pytest.mark.parametrize("game, distinguisher", sorted(GOLDEN_REPORTS))
 def test_experiment_game_golden_report(workdir, game, distinguisher):
-    # the sem and equiv modes and the ind game under the stock distinguishers
-    # other than leak-reader: their report bytes at seed 5 are pinned
-    (workdir / "g.json").write_text(json.dumps({**GAME_CONFIG, "distinguisher": distinguisher}))
+    # every experiment mode, and the ind game under each stock distinguisher:
+    # their report bytes at seed 5 are pinned
+    (workdir / "g.json").write_text(json.dumps({**GAME_CONFIG, **GAME_OVERRIDES.get(game, {}),
+                                                "distinguisher": distinguisher}))
     out = workdir / "g_report.json"
     assert run("--seed", 5, "experiment", game, "--config", workdir / "g.json",
                "--out", out) == EXIT_OK
@@ -713,6 +729,29 @@ def test_experiment_unknown_name_exit_2(workdir, capsys, extra, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_experiment_unknown_game_builds_no_scheme(workdir, monkeypatch, capsys):
+    def create(*args, **kwargs):
+        raise AssertionError("a scheme was built for an unknown game")
+    monkeypatch.setattr(harness.SchemeContext, "create", create)
+    (workdir / "u.json").write_text(json.dumps({**GAME_CONFIG, "game": "zk"}))
+    assert run("experiment", "--config", workdir / "u.json") == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unknown game 'zk'\n"
+
+
+def test_experiment_choices_are_the_runner_games():
+    experiment = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    game = next(a for a in experiment.choices["experiment"]._actions if a.dest == "game")
+    assert game.choices is cli.GAMES
+
+
+def test_recon_without_share_files_exits_2_in_argparse(workdir, capsys):
+    # nargs="+" refuses an empty share list before cmd_recon runs
+    with pytest.raises(SystemExit) as exc:
+        run("recon", "--parties", "1")
+    assert exc.value.code == 2
+    assert "the following arguments are required: shares" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc, code", [

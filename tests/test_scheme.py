@@ -36,11 +36,14 @@ def test_setup_shape():
 
 
 def test_setup_deterministic():
+    # to_json() is the public record only, so each share is compared on its own
     a = setup(threshold_structure(3, 2), b"abcd", Stream(42))
     b = setup(threshold_structure(3, 2), b"abcd", Stream(42))
     assert serde.canonical_json_bytes(a.to_json()) == serde.canonical_json_bytes(b.to_json())
+    assert [share_serialize(s) for s in a.shares] == [share_serialize(s) for s in b.shares]
     c = setup(threshold_structure(3, 2), b"abcd", Stream(43))
     assert serde.canonical_json_bytes(a.to_json()) != serde.canonical_json_bytes(c.to_json())
+    assert all(share_serialize(s) != share_serialize(t) for s, t in zip(a.shares, c.shares))
 
 
 def test_recon_threshold():

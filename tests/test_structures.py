@@ -176,6 +176,14 @@ def test_check_monotone_sampled_mode():
     assert check_monotone(threshold_structure(6, 3), mode="sampled", trials=300) is True
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_check_monotone_sampled_refuses_no_trials(trials):
+    # a sampled check of zero pairs would report "monotone" having checked nothing
+    with pytest.raises(ValueError, match="trials >= 1"):
+        check_monotone(threshold_structure(3, 2), mode="sampled", trials=trials)
+    assert check_monotone(threshold_structure(3, 2), mode="exhaustive", trials=trials) is True
+
+
 def test_check_monotone_exhaustive_bound():
     with pytest.raises(ValueError):
         check_monotone(threshold_structure(13, 2), mode="exhaustive")
