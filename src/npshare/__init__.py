@@ -41,7 +41,6 @@ from .scheme import (
     MissingShareError,
     MixedDealingError,
     Share,
-    ShareHeader,
     recon,
     setup,
     share_parse,
@@ -68,7 +67,7 @@ from . import circuits, cnf, harness, sat
 __all__ = [
     "AccessStructure", "CRS", "Commitment", "Dealing", "MPrimeInstance",
     "MPrimeRelation", "MPrimeWitness", "MissingShareError", "MixedDealingError",
-    "MonotoneCircuit", "Opening", "PartySet", "Share", "ShareHeader", "Stream",
+    "MonotoneCircuit", "Opening", "PartySet", "Share", "Stream",
     "WECiphertext", "assemble_witness", "check_monotone", "circuit_structure",
     "circuits", "cnf", "commit", "crs_gen", "derive_characteristic", "derive_seed",
     "edge_index", "evaluate", "exhaustive_witness_search", "hamiltonian_structure",

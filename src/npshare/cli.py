@@ -84,7 +84,7 @@ def _get(obj: dict, key: str, kind, default, ok=None, need: str = ""):
 def _scheme_options(config: dict, backend: str) -> dict:
     """The scheme's keyword options a config sets, ``backend`` by default."""
     return {"k": _get(config, "k", int, 8, lambda v: 4 <= v <= 64, "an integer in 4..64"),
-            "lam": _get(config, "lam", int, 16),
+            "lam": _get(config, "lam", int, 16, lambda v: 8 <= v <= 256, "an integer in 8..256"),
             "backend": _get(config, "backend", str, backend),
             "expansion": _get(config, "expansion", (str, type(None)), None, need="a string")}
 
@@ -131,13 +131,13 @@ def cmd_recon(args) -> int:
             shares.append(share_parse(Path(path).read_bytes()))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    X = _parse_parties(args.parties, shares[0].header.n)
+    X = _parse_parties(args.parties, shares[0].crs.n)
     inner = None
     if args.witness is not None:
         wobj = _load_json(args.witness)
         # openings, when present, are parsed only to reject a malformed file
         try:
-            inner = witness_from_json({"openings": [], **wobj}, shares[0].header.crs).inner
+            inner = witness_from_json({"openings": [], **wobj}, shares[0].crs).inner
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{args.witness}: bad witness: {exc}") from exc
     secret = recon(shares, X, inner)
@@ -173,7 +173,7 @@ def cmd_structure_check(args) -> int:
 def _experiment_context(config, seed) -> tuple:
     structure = _parse_structure(_get(config, "structure", dict, None))
     ctx = harness.SchemeContext.create(structure, seed=seed, **_scheme_options(config, "leaky"))
-    secret_len = _get(config, "secret_len", int, 4)
+    secret_len = _get(config, "secret_len", int, 4, lambda v: 1 <= v <= 64, "an integer in 1..64")
     sampler_cfg = _get(config, "sampler", dict, {"kind": "mixed"})
     if _get(sampler_cfg, "kind", str, "mixed") != "mixed":
         raise ConfigError(f"unknown sampler kind {sampler_cfg['kind']!r}")
@@ -199,7 +199,7 @@ def _run_experiment(config, seed) -> dict:
     if game not in GAMES:
         raise ConfigError(f"unknown game {game!r}")
     if game == "hybrid":
-        n = _get(config, "n", int, 8, lambda v: v > 0, "a positive integer")
+        n = _get(config, "n", int, 8, lambda v: 1 <= v <= 64, "an integer in 1..64")
         position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
                         f"an integer in 1..{n}")
         gap = _get(config, "planted_gap", float, 0.8)

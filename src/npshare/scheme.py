@@ -11,8 +11,8 @@ share construction: SETUP and the harness's dver both deal through it,
 so under Z = A0 dver's shares are SETUP's by construction.
 
 The commitment vector (the public instance) is emitted alongside the
-shares rather than inside each share; every share carries a header with
-the CRS and a structure digest, checked against the ciphertext's instance.
+shares rather than inside each share; every share carries the CRS its
+opening is read under, checked against the ciphertext's instance.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .rng import Stream, derive_seed
 from .structures import AccessStructure, PartySet
 from .we import WECiphertext, load_relation, we_decrypt, we_encrypt
 
-SHARE_FORMAT = "npshare.share/1"
+SHARE_FORMAT = "npshare.share/2"
 DEALING_FORMAT = "npshare.dealing/1"
 
 
 class MixedDealingError(ValueError):
-    """Shares from different dealings were mixed (header mismatch)."""
+    """Shares from different dealings were mixed (their CRS or ciphertext differ)."""
 
 
 class MissingShareError(ValueError):
@@ -41,52 +41,34 @@ class MissingShareError(ValueError):
 
 
 @dataclass(frozen=True)
-class ShareHeader:
-    n: int
-    structure_digest: str
-    crs: CRS
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "structure_digest": self.structure_digest, "crs": self.crs.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ShareHeader":
-        n = serde.require(obj, "n", int)
-        crs = CRS.from_json(serde.require(obj, "crs", dict))
-        if crs.n != n:
-            raise ValueError("header n disagrees with its CRS")
-        return cls(n, serde.require(obj, "structure_digest", str), crs)
-
-
-@dataclass(frozen=True)
 class Share:
     party: int
     opening: Opening
     ciphertext: WECiphertext
-    header: ShareHeader
+    crs: CRS
 
     def to_json(self) -> dict:
         return {
             "format": SHARE_FORMAT,
             "party": self.party,
-            "opening": self.opening.to_json(self.header.crs),
+            "opening": self.opening.to_json(self.crs),
             "ciphertext": self.ciphertext.to_json(),
-            "header": self.header.to_json(),
+            "crs": self.crs.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Share":
         if serde.require(obj, "format", str) != SHARE_FORMAT:
             raise ValueError(f"unsupported share format {obj['format']!r}")
-        header = ShareHeader.from_json(serde.require(obj, "header", dict))
+        crs = CRS.from_json(serde.require(obj, "crs", dict))
         party = serde.require(obj, "party", int)
-        if not 1 <= party <= header.n:
-            raise ValueError(f"party {party} outside 1..{header.n}")
+        if not 1 <= party <= crs.n:
+            raise ValueError(f"party {party} outside 1..{crs.n}")
         return cls(
             party=party,
-            opening=Opening.from_json(serde.require(obj, "opening", str), header.crs),
+            opening=Opening.from_json(serde.require(obj, "opening", str), crs),
             ciphertext=WECiphertext.from_json(serde.require(obj, "ciphertext", dict)),
-            header=header,
+            crs=crs,
         )
 
 
@@ -122,9 +104,6 @@ class SchemeContext:
     def __post_init__(self):
         if self.crs.n != self.structure.n:
             raise ValueError("CRS and structure disagree on n")
-        self.header = ShareHeader(
-            n=self.structure.n, structure_digest=self.structure.digest(), crs=self.crs
-        )
 
     @classmethod
     def create(cls, structure: AccessStructure, seed: int, *, k: int = 8,
@@ -159,7 +138,7 @@ class SchemeContext:
             com if com is not None else given for com, given in zip(fresh, commitments)))
         ct = self.encrypt(inst, secret, rng)
         return Dealing(public=inst, shares=tuple(
-            Share(party=i, opening=op, ciphertext=ct, header=self.header)
+            Share(party=i, opening=op, ciphertext=ct, crs=crs)
             for i, op in openings.items()))
 
     def a0_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
@@ -200,27 +179,26 @@ def recon(shares, X: PartySet, inner_witness) -> bytes | None:
     Returns the secret when the witness attests M(X) = 1 (probability 1
     by the completeness of the backend), otherwise None.  Shares from
     different dealings raise MixedDealingError, which is distinct from
-    the plain rejection.  A header whose CRS or structure digest is not
-    the ciphertext's instance's raises ValueError.
+    the plain rejection.  A share CRS that is not the ciphertext's
+    instance's raises ValueError.
     """
     shares = tuple(shares)
     if not shares:
         raise MissingShareError("no shares provided")
-    header = shares[0].header
+    crs, ct = shares[0].crs, shares[0].ciphertext
     for s in shares[1:]:
-        if s.header != header or s.ciphertext != shares[0].ciphertext:
+        if s.crs != crs or s.ciphertext != ct:
             raise MixedDealingError("shares come from different dealings")
-    if X.n != header.n:
+    if X.n != crs.n:
         raise ValueError("party set size disagrees with the dealing")
     by_party = {s.party: s.opening for s in shares}
     missing = [i for i in X.sorted() if i not in by_party]
     if missing:
         raise MissingShareError(f"no share for parties {missing}")
     witness = assemble_witness(X, by_party, inner_witness)
-    inst = load_relation(shares[0].ciphertext).instance
-    if inst.crs != header.crs or inst.structure.digest() != header.structure_digest:
-        raise ValueError("share header disagrees with the instance in its ciphertext")
-    return we_decrypt(shares[0].ciphertext, witness)
+    if load_relation(ct).instance.crs != crs:
+        raise ValueError("share crs disagrees with the instance in its ciphertext")
+    return we_decrypt(ct, witness)
 
 
 def share_serialize(share: Share) -> bytes:

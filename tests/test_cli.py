@@ -352,9 +352,9 @@ def test_recon_cnf_relation_over_uncompilable_instance_exit_2(workdir, capsys):
 # writes for a threshold(4,2) dealing of b"golden"; a change to any dealt
 # byte changes these on purpose or not at all
 GOLDEN_DEALINGS = {
-    "idealized": "262b5ed3b137d127f5604ae031e997cdcc874d22092f0acc3417b684c49b5baa",
-    "leaky": "5faf83acbfbf9cfc42b85507200df090f86bc7e3526bd93a44928b9f910c64e9",
-    "cnf": "8605ac39674c3a07d9283cfabaa6dee995ef7e1d46d0f452a8b714a6991fbe96",
+    "idealized": "66d36645911d2f87a5a8c49e43166b49e8f5f581b4fec8ea950f3cc0faccca65",
+    "leaky": "2e6a547716af989cfbec190e83580c39be653b62bca41fc97f93ea7523bd98bc",
+    "cnf": "f7783a26578bfba66008fa39a8ade124deb5d7bc39b09c7fa05f1d15ec7a01d7",
 }
 
 
@@ -402,10 +402,17 @@ THRESHOLD3 = {"structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend
     ("experiment", {**THRESHOLD3, "k": 65}),
     ("experiment", {**THRESHOLD3, "k": 10**6}),
     ("experiment", {**THRESHOLD3, "secret_bits": 8}),
+    ("deal", {**THRESHOLD3, "lam": 7}),
+    ("deal", {**THRESHOLD3, "lam": 257}),
+    ("experiment", {**THRESHOLD3, "lam": 257}),
+    ("experiment", {**THRESHOLD3, "secret_len": 0}),
+    ("experiment", {**THRESHOLD3, "secret_len": 65}),
+    ("experiment", {"game": "hybrid", "n": 65}),
 ], ids=["deal-no-structure", "deal-number", "deal-null", "deal-k-list", "experiment-empty",
         "k-list", "delta-null", "delta-0", "sampler-number", "p_unqualified-list",
         "hybrid-n-0", "hybrid-position-9", "deal-k-65", "deal-k-1e6", "k-65", "k-1e6",
-        "secret_bits"])
+        "secret_bits", "deal-lam-7", "deal-lam-257", "lam-257", "secret_len-0",
+        "secret_len-65", "hybrid-n-65"])
 def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config):
     (workdir / "bad.json").write_text(json.dumps(config))
     argv = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if command == "deal" else ()
@@ -414,6 +421,19 @@ def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config)
     assert captured.out == ""
     assert re.fullmatch(r"error: [^\n]+\n", captured.err), captured.err
     assert not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("deal", {**THRESHOLD3, "lam": 8}),
+    ("deal", {**THRESHOLD3, "lam": 256}),
+    ("experiment", {**THRESHOLD3, "trials": 100, "secret_len": 64}),
+    ("experiment", {**THRESHOLD3, "game": "hybrid", "trials": 100, "n": 64}),
+], ids=["deal-lam-8", "deal-lam-256", "secret_len-64", "hybrid-n-64"])
+def test_size_keys_at_their_bounds_exit_0(workdir, command, config):
+    (workdir / "edge.json").write_text(json.dumps(config))
+    argv = ("--secret", workdir / "secret.bin") if command == "deal" else ()
+    assert run(command, "--config", workdir / "edge.json", *argv,
+               "--out", workdir / "x") == EXIT_OK
 
 
 @pytest.mark.parametrize("runs", [0, -2, True])
@@ -452,9 +472,16 @@ def test_experiment_hybrid_game(workdir):
     assert report["index"] == 6
 
 
-def _drop_header(share):
-    del share["header"]
+def _drop_crs(share):
+    del share["crs"]
     return share
+
+
+def _as_share_1(share):
+    # the share/1 layout: the CRS inside a header with n and a structure digest
+    crs = share.pop("crs")
+    return {**share, "format": "npshare.share/1",
+            "header": {"n": crs["n"], "structure_digest": "00" * 32, "crs": crs}}
 
 
 def _drop_msg_len(share):
@@ -464,6 +491,11 @@ def _drop_msg_len(share):
 
 def _party_out_of_range(share):
     share["party"] = 9
+    return share
+
+
+def _party_above_crs_n(share):
+    share["party"] = share["crs"]["n"] + 1
     return share
 
 
@@ -479,10 +511,11 @@ def _relation_without_instance(share):
 
 
 @pytest.mark.parametrize("mutate", [
-    _drop_header, _drop_msg_len, _party_out_of_range, lambda share: [share],
-    _garbage_payload, _relation_without_instance, lambda share: b"", lambda share: b"{not json",
-], ids=["no-header", "no-msg-len", "party-9-of-3", "json-array", "garbage-payload",
-        "relation-without-instance", "empty-file", "not-json"])
+    _drop_crs, _as_share_1, _drop_msg_len, _party_out_of_range, _party_above_crs_n,
+    lambda share: [share], _garbage_payload, _relation_without_instance, lambda share: b"",
+    lambda share: b"{not json",
+], ids=["no-crs", "share-1", "no-msg-len", "party-9-of-3", "party-4-of-3", "json-array",
+        "garbage-payload", "relation-without-instance", "empty-file", "not-json"])
 def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
     out = workdir / "deal"
     run("deal", "--config", workdir / "cfg.json",
@@ -497,19 +530,13 @@ def test_recon_malformed_share_exit_2(workdir, capsys, mutate):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
-def _zero_structure_digest(share):
-    share["header"]["structure_digest"] = "00" * 32
-    return share
-
-
 def _flip_crs_byte(share):
-    bits = share["header"]["crs"]["bits"]
-    share["header"]["crs"]["bits"] = f"{int(bits[:2], 16) ^ 1:02x}" + bits[2:]
+    bits = share["crs"]["bits"]
+    share["crs"]["bits"] = f"{int(bits[:2], 16) ^ 1:02x}" + bits[2:]
     return share
 
 
-@pytest.mark.parametrize("mutate", [_zero_structure_digest, _flip_crs_byte],
-                         ids=["structure-digest-zeros", "crs-byte-flipped"])
+@pytest.mark.parametrize("mutate", [_flip_crs_byte], ids=["crs-byte-flipped"])
 def test_recon_header_disagreeing_with_ciphertext_exit_2(workdir, capsys, mutate):
     # the same change in both files gets past the mixed-dealing check
     out = workdir / "deal"
@@ -522,8 +549,8 @@ def test_recon_header_disagreeing_with_ciphertext_exit_2(workdir, capsys, mutate
     code = run("recon", "--parties", "1,2", "--out", workdir / "secret.out", *paths)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "header" in err
-    assert not (workdir / "secret.out").exists()
+    assert "Traceback" not in err and "crs disagrees" in err
+    assert len(err.strip().splitlines()) == 1 and not (workdir / "secret.out").exists()
 
 
 @pytest.fixture(scope="module", params=["idealized", "leaky", "cnf"])
@@ -679,7 +706,7 @@ GOLDEN_REPORTS = {
     ("sem", "leak-reader"): "6ece73a01442f8b967cc90e0edb515330efb47220b4025214ba86fa65e5c2624",
     ("equiv", "leak-reader"): "9cf4dbc59284058b46fc996c732967696718e3ad4ddce20aa946dce2b9434bb8",
     ("ind", "constant-0"): "93396dffe03f58c250942c5316bfaaa78343572aeee2b68d1041edfc0e3addf1",
-    ("ind", "shape-reader"): "93396dffe03f58c250942c5316bfaaa78343572aeee2b68d1041edfc0e3addf1",
+    ("ind", "shape-reader"): "6919c58d88c7418ed5ca7b2d98af0ce1ad994a5f9e2d33d79b545d1fc98958e0",
     ("ind", "leak-reader"): "1a2c8f47afebf1f396f3428b53a9278191e05bb73df44fc296b3afe0dee4fdc0",
     ("dprime", "leak-reader"): "cdbe89362d5a7f2d29242b4c554bbb0b58dd654a03e8c1cb32eceaf6b3d34912",
     ("hybrid", "leak-reader"): "23630490e69e4ce6005367a2cff26ec765489830e3c00e735865ab6c0e2378c3",

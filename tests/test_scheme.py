@@ -152,13 +152,13 @@ def test_share_serialization_round_trip():
         share_parse(b"")
     with pytest.raises(ValueError):
         share_parse(data[: len(data) // 2])
-    tampered = data.replace(b"npshare.share/1", b"npshare.share/9")
+    tampered = data.replace(b"npshare.share/2", b"npshare.share/9")
     with pytest.raises(ValueError):
         share_parse(tampered)
 
 
 def test_share_size_accounting():
-    # |share| decomposes into opening + ciphertext + header, and the
+    # |share| decomposes into opening + ciphertext + crs, and the
     # ciphertext portion is identical across parties.
     dealing = setup(threshold_structure(4, 2), b"sz", Stream(11))
     ct_sizes = set()
@@ -167,7 +167,7 @@ def test_share_size_accounting():
         total = len(share_serialize(share))
         part_sizes = {
             key: len(serde.canonical_json_bytes(obj[key]))
-            for key in ("opening", "ciphertext", "header")
+            for key in ("opening", "ciphertext", "crs")
         }
         assert total > sum(part_sizes.values()) - 3  # json framing overhead only
         ct_sizes.add(part_sizes["ciphertext"])
