@@ -16,7 +16,7 @@ from npshare.commitments import find_opening
 print("=== sizes and golden determinism ===")
 crs = crs_gen(4, 8, Stream(0xC0FFEE))
 print(f"n=4, k=8: ell={crs.ell} blocks of {crs.block_bits} bits, CRS = {crs.total_bits} bits")
-com = commit(3, Opening((0, 0, 0, 0)), crs)
+com = commit(3, Opening(0), crs)
 print("commit(3, zero seeds) =", com.to_json(crs), "(pinned golden vector)")
 
 print()

@@ -1,7 +1,8 @@
 """Compilation of the induced-language verifier into a Boolean circuit.
 
-The compiled circuit takes, in order, the opening seed bits of every
-position (ell seeds of k bits per position), one presence flag per
+The compiled circuit takes, in order, the opening bits of every
+position (one run of ell*k bits per position, low bit first, so block
+j's seed sits at j*k as in ``Opening.bits``), one presence flag per
 position (the flag encodes the absent opening: the characteristic bit is
 ``flag AND commitment-match``), and the inner-witness bits.  Commitment
 checks are realized as a bit-level PRG-expansion sub-circuit compared
@@ -402,7 +403,7 @@ def check_compilable(inst: MPrimeInstance) -> None:
 def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
     """Circuit accepting exactly the witnesses of ``mprime_verify``.
 
-    Inputs: opening seeds (position-major, block-minor, low bit first),
+    Inputs: each position's ``Opening.bits`` (ell*k bits, low bit first),
     then n presence flags, then the inner-witness bits.
     """
     check_compilable(inst)
@@ -450,14 +451,14 @@ def lift_witness(circuit: BooleanCircuit, wit: MPrimeWitness) -> list[bool]:
     inputs = [False] * circuit.n_inputs
     if len(wit.openings) != meta.n:
         raise ValueError(f"expected {meta.n} openings")
+    width = meta.ell * meta.k
     for i, opening in enumerate(wit.openings, start=1):
-        if opening is None:
-            continue
+        if opening is None or opening.bits < 0 or opening.bits >> width:
+            continue  # an opening outside [0, 2^(ell*k)) opens nothing, as in commit
         inputs[meta.flags_offset + (i - 1)] = True
-        for j, seed in enumerate(opening.seeds):
-            base = meta.seed_offset(i, j)
-            for bit in range(meta.k):
-                inputs[base + bit] = bool((seed >> bit) & 1)
+        base = meta.seed_offset(i, 0)
+        for bit in range(width):
+            inputs[base + bit] = bool((opening.bits >> bit) & 1)
     for t, b in enumerate(encode_inner(meta.structure, wit.inner)):
         inputs[meta.inner_offset + t] = b
     return inputs
@@ -471,15 +472,11 @@ def decode_witness(circuit: BooleanCircuit, assignment) -> MPrimeWitness:
         if not assignment[meta.flags_offset + (i - 1)]:
             openings.append(None)
             continue
-        seeds = []
-        for j in range(meta.ell):
-            base = meta.seed_offset(i, j)
-            seed = 0
-            for bit in range(meta.k):
-                if assignment[base + bit]:
-                    seed |= 1 << bit
-            seeds.append(seed)
-        openings.append(Opening(tuple(seeds)))
+        base, bits = meta.seed_offset(i, 0), 0
+        for bit in range(meta.ell * meta.k):
+            if assignment[base + bit]:
+                bits |= 1 << bit
+        openings.append(Opening(bits))
     inner_bits = [
         bool(assignment[meta.inner_offset + t]) for t in range(meta.inner_len)
     ]

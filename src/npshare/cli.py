@@ -222,9 +222,9 @@ def _run_experiment(config, seed) -> dict:
         return report.to_json()
     if game == "dprime":
         runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
-        c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs, lambda t: (
-            derive_seed(seed, 2 * t), derive_seed(seed, 4_000_000 + t),
-            derive_seed(seed, 2 * t + 1), derive_seed(seed, 5_000_000 + t)))
+        lanes = [derive_seed(seed, lane) for lane in (0xA0, 0xD0, 0xA1, 0xD1)]
+        c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs,
+                                    lambda t: tuple(derive_seed(lane, t) for lane in lanes))
         return {
             "game": "dprime", "runs": runs, "epsilon": eps, "master_seed": seed,
             "accept_a0": c0 / runs, "accept_a1": c1 / runs,

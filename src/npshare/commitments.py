@@ -2,10 +2,12 @@
 
 The construction is the classic PRG-based bitwise commitment: to commit
 to an ``ell``-bit value under a CRS of ``ell`` blocks of ``3k`` bits, each
-value bit ``b_j`` is committed as ``PRG(seed_j) XOR (b_j * crs_block_j)``
-with a fresh ``k``-bit seed per bit.  Committed values live in
-``[2n] = {1, .., 2n}``, so ``ell = ceil(log2(2n+1))``.  The kernel indexes
-pre-shifted per-block PRG outputs cached per ``(expansion, k, ell)``.
+value bit ``b_j`` is committed as ``PRG(seed_j) XOR (b_j * crs_block_j)``.
+An opening is one uniform ``ell*k``-bit string, drawn as ``rng.bits(ell*k)``
+(one 64-bit word while ``ell*k <= 64``); seed j is its bits ``j*k`` up to
+``(j+1)*k``.  Committed values live in ``[2n] = {1, .., 2n}``, so
+``ell = ceil(log2(2n+1))``.  The kernel indexes pre-shifted per-block PRG
+outputs cached per ``(expansion, k, ell)``.
 
 Binding is statistical over the CRS (for a random block, the sets
 ``{PRG(s)}`` and ``{PRG(s) XOR crs_block}`` are disjoint except with
@@ -153,21 +155,17 @@ class CRS:
 
 @dataclass(frozen=True)
 class Opening:
-    """Per-bit PRG seeds; the absent opening is represented by ``None``."""
+    """The ``ell`` k-bit PRG seeds as one ``ell*k``-bit integer, block j's seed
+    at bit offset ``j*k``; the absent opening is represented by ``None``."""
 
-    seeds: tuple[int, ...]
+    bits: int
 
     def to_json(self, crs: CRS) -> str:
-        packed = 0
-        for j, seed in enumerate(self.seeds):
-            packed |= seed << (j * crs.k)
-        return serde.int_to_hex(packed, crs.ell * crs.k)
+        return serde.int_to_hex(self.bits, crs.ell * crs.k)
 
     @classmethod
     def from_json(cls, text: str, crs: CRS) -> "Opening":
-        packed = serde.hex_to_int(text, crs.ell * crs.k)
-        mask = (1 << crs.k) - 1
-        return cls(tuple((packed >> (j * crs.k)) & mask for j in range(crs.ell)))
+        return cls(serde.hex_to_int(text, crs.ell * crs.k))
 
 
 def opening_from_json(obj: str | None, crs: CRS) -> Opening | None:
@@ -196,23 +194,21 @@ def crs_gen(n: int, k: int, rng: Stream, expansion: str = "splitmix64") -> CRS:
 
 
 def sample_opening(crs: CRS, rng: Stream) -> Opening:
-    """``ell`` k-bit seeds; for k <= 64 each is the one draw ``rng.bits(k)`` makes."""
-    draw = rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)
-    mask = (1 << crs.k) - 1
-    return Opening(tuple([draw() & mask for _ in range(crs.ell)]))
+    """One uniform draw of ``ell*k`` bits (one 64-bit word while ``ell*k <= 64``)."""
+    return Opening(rng.bits(crs.ell * crs.k))
 
 
 def commit(value: int, opening: Opening, crs: CRS) -> Commitment:
     """Commit to ``value`` in [2n]; deterministic in (value, opening, crs)."""
     if not 1 <= value <= 2 * crs.n:
         raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
-    if len(opening.seeds) != crs.ell:
-        raise ValueError(f"opening has {len(opening.seeds)} seeds, expected {crs.ell}")
+    seeds, k, mask = opening.bits, crs.k, (1 << crs.k) - 1
+    if seeds < 0 or seeds >> (crs.ell * k):  # a negative one would index a table from its end
+        raise ValueError(f"opening outside [0, 2^(ell*k)) = [0, 2^{crs.ell * k})")
     bits = crs.value_masks[value]
-    for out, seed in zip(crs.block_outputs, opening.seeds):
-        if seed >> crs.k:  # also true of a negative seed, which would index from the end
-            raise ValueError("opening seed outside [0, 2^k)")
-        bits ^= out[seed]
+    for out in crs.block_outputs:
+        bits ^= out[seeds & mask]
+        seeds >>= k
     return Commitment(bits)
 
 
@@ -221,25 +217,25 @@ def commitment_list(values, crs: CRS, rng: Stream,
     """``tuple(commit(v, sample_opening(crs, rng), crs) for v in values)`` in one
     loop, building no openings unless a dict ``openings`` is given to store each
     committed value's opening under the value.  A value of None draws one
-    opening's words and commits nothing (None in its place)."""
-    draw, mask = (rng.next64 if crs.k <= 64 else partial(rng.bits, crs.k)), (1 << crs.k) - 1
+    opening and commits nothing (None in its place)."""
+    k, nbits = crs.k, crs.ell * crs.k
+    draw = rng.next64 if nbits <= 64 else partial(rng.bits, nbits)
+    full, mask = (1 << nbits) - 1, (1 << k) - 1
     top, outputs, value_masks = 2 * crs.n, crs.block_outputs, crs.value_masks
     coms = []
     for value in values:
         if value is None:
-            for _ in outputs:
-                draw()
+            draw()
             coms.append(None)
             continue
         if not 1 <= value <= top:
             raise ValueError(f"value {value} outside [2n] = [1, {top}]")
-        bits, seeds = value_masks[value], []
-        for out in outputs:
-            seed = draw() & mask
-            seeds.append(seed)
-            bits ^= out[seed]
+        bits, seeds = value_masks[value], draw() & full
         if openings is not None:
-            openings[value] = Opening(tuple(seeds))
+            openings[value] = Opening(seeds)
+        for out in outputs:
+            bits ^= out[seeds & mask]
+            seeds >>= k
         coms.append(Commitment(bits))
     return tuple(coms)
 
@@ -300,9 +296,9 @@ def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
         raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
     targets = com.bits ^ crs.value_masks[value]  # block j: the PRG output seed j needs
     mask = (1 << crs.block_bits) - 1
-    seeds = tuple(block_preimage(crs, (targets >> shift) & mask)
-                  for shift in range(0, crs.total_bits, crs.block_bits))
-    return None if None in seeds else Opening(seeds)
+    seeds = [block_preimage(crs, (targets >> shift) & mask)
+             for shift in range(0, crs.total_bits, crs.block_bits)]
+    return None if None in seeds else Opening(sum(s << (j * crs.k) for j, s in enumerate(seeds)))
 
 
 def supports_disjoint(crs: CRS, v1: int, v2: int) -> bool:

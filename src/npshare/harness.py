@@ -36,11 +36,12 @@ distinguishers are plain callables:
 * simulator: ``(X, sigma, rng) -> value``.
 
 Everything is a deterministic function of a 64-bit master seed; trial t
-runs on ``Stream(derive_seed(master_seed, t))``, so reports reproduce
-byte-identically and trials are order-independent.  The M(X)=0 side
-conditions in the game definitions are decided by exhaustive search
-(and cached), which the games must do even though D' itself never does
-- that is the entire point of mest.
+runs on ``Stream(derive_seed(master_seed, t))`` and a named lane on
+``derive_seed(derive_seed(master_seed, LANE), t)``, which meets no trial
+stream, so reports reproduce byte-identically and trials are
+order-independent.  The M(X)=0 side conditions in the game definitions
+are decided by exhaustive search (and cached), which the games must do
+even though D' itself never does - that is the entire point of mest.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def ind_to_sem(sampler, D, t: int, probe_seed: int = 0) -> IndToSem:
     def simulator(X, sigma2, rng: Stream):
         return rng.bit()
 
-    s0, s1, _, _ = sampler(Stream(derive_seed(probe_seed, 0xD1FF)))
+    s0, s1, _, _ = sampler(Stream(derive_seed(derive_seed(probe_seed, 0xD1FF), 0)))
     return IndToSem(
         sampler=sampler2,
         learner=learner_factory,

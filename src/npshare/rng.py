@@ -4,7 +4,9 @@ Every random draw in the library flows through a :class:`Stream` so that
 dealings, experiments and reports reproduce bit-exactly from a single
 64-bit master seed, independent of Python's own RNG.  Per-trial streams
 are derived as ``Stream(derive_seed(master_seed, trial_index))``, which
-makes trials order-independent and safe to fan out.
+makes trials order-independent and safe to fan out; a named lane (the
+CRS, the D' runs) draws from ``derive_seed(derive_seed(master_seed, LANE),
+t)`` and so meets no trial stream.
 
 SplitMix64 constants (increment and the two finalizer multipliers) are
 fixed here and reused by the commitment expansion functions.
@@ -27,8 +29,9 @@ def mix64(x: int) -> int:
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Per-trial seed: SplitMix64 of (master XOR index)."""
-    return mix64((master_seed ^ index) & MASK64)
+    """Per-trial seed in two stages, as SplitMix's split: ``mix64(mix64(master) XOR
+    index)``, so the trial streams of two master seeds meet only by chance."""
+    return mix64(mix64(master_seed) ^ index)
 
 
 class Stream:

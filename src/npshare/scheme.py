@@ -109,7 +109,7 @@ class SchemeContext:
     def create(cls, structure: AccessStructure, seed: int, *, k: int = 8,
                backend: str = "idealized", lam: int = 16,
                expansion: str | None = None) -> "SchemeContext":
-        crs = crs_gen(structure.n, k, Stream(derive_seed(seed, 0xC125)),
+        crs = crs_gen(structure.n, k, Stream(derive_seed(derive_seed(seed, 0xC125), 0)),
                       expansion=expansion or default_expansion(backend))
         return cls(structure=structure, crs=crs, lam=lam, backend=backend)
 
@@ -120,10 +120,10 @@ class SchemeContext:
     def deal(self, secret: bytes, rng: Stream, commitments=None,
              X: PartySet | None = None) -> Dealing:
         """Deal ``secret``.  Draws, in order: an opening for each of parties
-        1..n (ell seeds each, low block first), then the encryption
+        1..n (one ``rng.bits(ell * k)`` each), then the encryption
         randomness; party i is committed to i.  Given input ``commitments``
         and ``X`` (read only with them), a party outside X keeps its input
-        commitment and gets no share, and its opening's words are dropped."""
+        commitment and gets no share, and its opening's draw is dropped."""
         if not secret:
             raise ValueError("secret must be non-empty")
         n, crs = self.n, self.crs

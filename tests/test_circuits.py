@@ -3,8 +3,10 @@
 import pytest
 
 from npshare.circuits import (
+    BooleanCircuit,
     Builder,
     CnfMPrimeRelation,
+    CompileMeta,
     compile_mprime,
     decode_witness,
     encode_inner,
@@ -15,7 +17,7 @@ from npshare.circuits import (
     toy_prg_wires,
 )
 from npshare.cnf import check_assignment, tseitin
-from npshare.commitments import commit, crs_gen, prg_toy, sample_opening
+from npshare.commitments import Opening, commit, crs_gen, prg_toy, sample_opening
 from npshare.induced import MPrimeInstance, MPrimeRelation, MPrimeWitness, mprime_verify
 from npshare.rng import Stream, derive_seed
 from npshare.structures import (
@@ -189,6 +191,30 @@ def test_witness_lift_round_trip():
     cnf = tseitin(circuit)
     assignment = eval_wires(circuit, inputs)
     assert check_assignment(cnf, assignment)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("k", [4, 8, 12, 13, 64, 65])
+def test_witness_lift_round_trip_packed_layout(k, n):
+    """Position i's opening is one run of ell*k input bits from
+    seed_offset(i, 0), low bit first; decoding the lift returns it."""
+    crs = crs_gen(n, k, Stream(k), expansion="toy")
+    width = crs.ell * k
+    meta = CompileMeta(n=n, ell=crs.ell, k=k, structure=threshold_structure(n, 1),
+                       flags_offset=n * width, inner_offset=n * width + n, inner_len=0)
+    circuit = BooleanCircuit(n_inputs=meta.inner_offset, gates=[], output=False, meta=meta)
+    rng = Stream(n)
+    openings = tuple(sample_opening(crs, rng) if i % 2 else None for i in range(1, n + 1))
+    wit = MPrimeWitness(openings=openings, inner=None)
+    inputs = lift_witness(circuit, wit)
+    assert decode_witness(circuit, inputs) == wit
+    for i, op in enumerate(openings, start=1):
+        run = inputs[meta.seed_offset(i, 0):meta.seed_offset(i + 1, 0)]
+        assert sum(bit << t for t, bit in enumerate(run)) == (0 if op is None else op.bits)
+    # an opening outside [0, 2^(ell*k)) lifts as the absent one: commit refuses it
+    for bad in (-1, 1 << width):
+        lifted = lift_witness(circuit, MPrimeWitness((Opening(bad),) + openings[1:], None))
+        assert lifted == lift_witness(circuit, MPrimeWitness((None,) + openings[1:], None))
 
 
 def test_lifted_witness_satisfies_cnf_iff_valid():

@@ -322,7 +322,7 @@ def trajectory_corpus():
 # SHA-256 over the solver's answers on trajectory_corpus().  It pins the
 # search itself: a change to decisions, propagation order, learning or
 # restarts shows up as a different first satisfying assignment.
-TRAJECTORY_SHA256 = "d6f788fd7131667b7cb5c9d3b1b2a46db4ad531754b167a6dede30c474321baa"
+TRAJECTORY_SHA256 = "cd69df5a65d5deab3595bc280154f6687248eafaf09a8543b2c4de4bdef971f8"
 
 
 def test_solve_cnf_search_trajectory_is_golden():

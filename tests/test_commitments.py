@@ -50,6 +50,11 @@ def reference_prg(seed, k):
     return value & ((1 << (3 * k)) - 1)
 
 
+def seeds_of(opening, crs):
+    """The ell k-bit seeds of a packed opening, block 0 first."""
+    return tuple((opening.bits >> (j * crs.k)) & ((1 << crs.k) - 1) for j in range(crs.ell))
+
+
 # Golden vectors, frozen from the reference implementation above.
 GOLDEN_PRG = {(0, 8): 0x1DCDAF, (1, 8): 0x025CC1, (255, 8): 0x283FB4}
 GOLDEN_CRS_HEX = "fad05890fa1682ca790487ce"
@@ -86,7 +91,7 @@ def test_crs_deterministic_under_seed():
 def test_golden_commitment_vector():
     crs = crs_gen(4, 8, Stream(0xC0FFEE))
     assert crs.to_json()["bits"] == GOLDEN_CRS_HEX
-    com = commit(3, Opening((0, 0, 0, 0)), crs)
+    com = commit(3, Opening(0), crs)
     assert com.to_json(crs) == GOLDEN_COMMIT3_HEX
     # re-derive from the independent oracle
     words = reference_splitmix64_stream(0xC0FFEE, 2)
@@ -107,9 +112,9 @@ def test_bit_rules():
     for j in range(crs.ell):
         block = (com.bits >> (j * crs.block_bits)) & ((1 << crs.block_bits) - 1)
         if (4 >> j) & 1:
-            assert block ^ crs.blocks[j] == crs.prg(op.seeds[j])
+            assert block ^ crs.blocks[j] == crs.prg(seeds_of(op, crs)[j])
         else:
-            assert block == crs.prg(op.seeds[j])
+            assert block == crs.prg(seeds_of(op, crs)[j])
 
 
 def test_commit_errors():
@@ -120,18 +125,13 @@ def test_commit_errors():
             commit(0, op, crs)
         with pytest.raises(ValueError):
             commit(9, op, crs)
-        with pytest.raises(ValueError):
-            commit(1, Opening(op.seeds[:-1]), crs)
         com = commit(1, op, crs)
-        # A seed of -1 must not index the table from its end: it is refused
-        # like 2^k, and neither opens anything.
-        for bad in (1 << k, -1):
-            for j in (0, crs.ell - 1):
-                seeds = list(op.seeds)
-                seeds[j] = bad
-                with pytest.raises(ValueError, match="seed outside"):
-                    commit(1, Opening(tuple(seeds)), crs)
-                assert not verify_opening(1, Opening(tuple(seeds)), crs, com)
+        # A negative opening must not index a table from its end: it is
+        # refused like one past the top, and neither opens anything.
+        for bad in (-1, -op.bits - 1, 1 << (crs.ell * k), op.bits | (1 << (crs.ell * k))):
+            with pytest.raises(ValueError, match="opening outside"):
+                commit(1, Opening(bad), crs)
+            assert not verify_opening(1, Opening(bad), crs, com)
 
 
 @pytest.mark.parametrize("n, k, message", [
@@ -217,7 +217,7 @@ def reference_commit_bits(value, opening, crs, prg):
     PRG(seed_j) XOR (bit_j(value) * crs_block_j)."""
     width = 3 * crs.k
     bits = 0
-    for j, seed in enumerate(opening.seeds):
+    for j, seed in enumerate(seeds_of(opening, crs)):
         crs_block = (crs.bits >> (j * width)) & ((1 << width) - 1)
         block = prg(seed, crs.k) ^ (crs_block if (value >> j) & 1 else 0)
         bits |= block << (j * width)
@@ -238,7 +238,7 @@ def reference_find_opening(value, com, crs, prg):
         if target not in first:
             return None
         seeds.append(first[target])
-    return Opening(tuple(seeds))
+    return Opening(sum(seed << (j * crs.k) for j, seed in enumerate(seeds)))
 
 
 @pytest.mark.parametrize("expansion, prg", [("splitmix64", prg_splitmix64), ("toy", prg_toy)])
@@ -269,13 +269,33 @@ def test_block_outputs_are_shared_shifted_prg_outputs(k, expansion, prg):
             assert out[seed] == crs.prg(seed) << (j * crs.block_bits) == prg(seed, k) << (j * 3 * k)
 
 
-@pytest.mark.parametrize("k", [4, 8, 12, 64, 80])
+@pytest.mark.parametrize("k", [4, 8, 12, 13, 64, 65, 80])
 def test_sample_opening_draws_like_stream_bits(k):
-    crs = crs_gen(5, k, Stream(3))
-    fast, reference = Stream(77), Stream(77)
-    opening = sample_opening(crs, fast)
-    assert opening.seeds == tuple(reference.bits(k) for _ in range(crs.ell))
-    assert fast.state == reference.state
+    """An opening is one ell*k-bit draw, one 64-bit word while ell*k <= 64."""
+    for n in (1, 3, 5, 6):
+        crs = crs_gen(n, k, Stream(3))
+        fast, reference = Stream(77), Stream(77)
+        for _ in range(3):
+            assert sample_opening(crs, fast) == Opening(reference.bits(crs.ell * k))
+            assert fast.state == reference.state
+        words = -(-crs.ell * k // 64)
+        assert fast.state == Stream(77 + 3 * words * 0x9E3779B97F4A7C15).state
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("k", [4, 8, 12, 13, 64, 65])
+def test_packed_opening_layout(k, n):
+    """Block j reads bits j*k..(j+1)*k of the packed opening; the wire form is
+    the hex of those ell*k bits; commit refuses anything outside them."""
+    crs = crs_gen(n, k, Stream(k + n))
+    op = sample_opening(crs, Stream(n))
+    assert Opening.from_json(op.to_json(crs), crs) == op
+    assert len(op.to_json(crs)) == 2 * -(-crs.ell * k // 8)
+    value = 1 + Stream(k).randrange(2 * n)
+    assert commit(value, op, crs).bits == reference_commit_bits(value, op, crs, prg_splitmix64)
+    for bad in (-1, 1 << (crs.ell * k)):
+        with pytest.raises(ValueError, match="opening outside"):
+            commit(value, Opening(bad), crs)
 
 
 @pytest.mark.parametrize("expansion", ["splitmix64", "toy"])
@@ -284,7 +304,7 @@ def test_sample_opening_draws_like_stream_bits(k):
 def test_commitment_list_equals_per_opening_commits(k, n, expansion):
     """The fused list makes the draws and commitments of one sample_opening
     and one commit per value, on both sides of the PRG table (k <= 12) and
-    of the one-draw seed (k <= 64)."""
+    of the one-word opening (ell*k <= 64)."""
     crs = crs_gen(n, k, Stream(k * 7 + n), expansion=expansion)
     picker = Stream(n)
     lists = [range(1, n + 1), range(n + 1, 2 * n + 1), []] + [
@@ -294,6 +314,9 @@ def test_commitment_list_equals_per_opening_commits(k, n, expansion):
         assert commitment_list(values, crs, fused) == tuple(
             commit(v, sample_opening(crs, reference), crs) for v in values)
         assert fused.state == reference.state
+        stored, reference = {}, Stream(t)
+        commitment_list(values, crs, Stream(t), stored)
+        assert stored == {v: sample_opening(crs, reference) for v in values}
     for bad in (0, 2 * n + 1):
         with pytest.raises(ValueError):
             commitment_list([1, bad], crs, Stream(1))

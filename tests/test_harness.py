@@ -119,11 +119,11 @@ def test_dver_share_distribution_identity_under_a0():
     byte for byte."""
     structure = threshold_structure(3, 2)
     ctx = SchemeContext.create(structure, seed=777, backend="idealized")
-    ell = ctx.crs.ell
+    w = -(-ctx.crs.ell * ctx.crs.k // 64)  # words per opening: one ell*k-bit draw
     X = PartySet.of(3, {2, 3})
 
     input_rng = RecordingStream(41)
-    com_inputs = ctx.a0_commitments(input_rng)  # words: s_1, s_2, s_3 seeds
+    com_inputs = ctx.a0_commitments(input_rng)  # words: s_1, s_2, s_3 openings
 
     rec = RecordingStream(42)
     b = rec.bit()
@@ -133,9 +133,9 @@ def test_dver_share_distribution_identity_under_a0():
     # SETUP tape: party 1 <- input opening s_1, parties 2,3 <- dver's r_2, r_3,
     # then the encryption key word.
     tape = (
-        input_rng.words[0:ell]
-        + rec.words[1 + ell : 1 + 3 * ell]
-        + rec.words[1 + 3 * ell :]
+        input_rng.words[0:w]
+        + rec.words[1 + w : 1 + 3 * w]
+        + rec.words[1 + 3 * w :]
     )
     honest = ctx.deal(secret, TapeStream(tape))
     assert honest.public == dealing_d.public
@@ -153,11 +153,11 @@ def test_dver_share_bytes_chi2_two_sample():
     for t in range(10_000):
         rng = Stream(derive_seed(0xAB, t))
         dealing = ctx.deal(S0, rng)
-        counts[0][shares_of(dealing, X)[0].opening.seeds[0] & 0xFF] += 1
+        counts[0][shares_of(dealing, X)[0].opening.bits & 0xFF] += 1
         rng2 = Stream(derive_seed(0xAC, t))
         coms = ctx.a0_commitments(rng2)
         shares_d = ctx.deal(S0, rng2, coms, X).shares
-        counts[1][shares_d[0].opening.seeds[0] & 0xFF] += 1
+        counts[1][shares_d[0].opening.bits & 0xFF] += 1
     stat = sum((a - b) ** 2 / (a + b) for a, b in zip(*counts) if a + b)
     dof = sum(1 for a, b in zip(*counts) if a + b) - 1
     assert stat < chi2.ppf(1 - 0.001, dof)
@@ -205,7 +205,8 @@ def test_build_substituted_shares_equals_per_opening_reference(backend, k, trial
 
 @pytest.mark.parametrize("members", [set(), {2}, {1, 3, 6}, set(range(1, 7))])
 def test_dver_draws_an_opening_per_party_before_encryption(leaky6, members):
-    X, ell = PartySet.of(6, members), leaky6.crs.ell
+    X, nbits = PartySet.of(6, members), leaky6.crs.ell * leaky6.crs.k
+    assert nbits <= 64  # one word per opening
     ctx = SchemeContext(structure=leaky6.structure, crs=leaky6.crs, backend="idealized")
     rec, marks = RecordingStream(5), []
 
@@ -215,13 +216,12 @@ def test_dver_draws_an_opening_per_party_before_encryption(leaky6, members):
 
     def D(s0, s1, shares, sigma, rng):
         for share in shares:
-            start = 1 + (share.party - 1) * ell
-            assert share.opening.seeds == tuple(w & 0xFF for w in rec.words[start:start + ell])
+            assert share.opening.bits == rec.words[share.party] & ((1 << nbits) - 1)
         return 0
 
     ctx.encrypt = encrypt
     dver(leaky6.a1_commitments(Stream(4)), S0, S1, X, ctx, D, rec)
-    assert marks == [1 + 6 * ell]
+    assert marks == [1 + 6]
 
 
 @pytest.mark.parametrize("backend,k", [
@@ -244,8 +244,8 @@ def test_deal_with_every_party_substituted_is_setup(backend, k):
 
 def test_mest_and_dprime_answers_are_golden(monkeypatch):
     """SHA-256 over (q0, q1, verdict) of every mest call and every D' answer
-    on pinned seeds, recorded before the fused kernel: one digest per
-    backend and distinguisher.  The shape reader answers with the parity of
+    on pinned seeds, one digest per backend and distinguisher; each moves
+    with the draws (an opening's words, the seed derivation).  The shape reader answers with the parity of
     the shares' serialized byte lengths, so its digest moves with the share
     format; the leak reader's does not."""
     dvers, digests = [], {}
@@ -274,8 +274,8 @@ def test_mest_and_dprime_answers_are_golden(monkeypatch):
                 answer = dprime(lists(rng), 0.5, 4, sampler, D, ctx, rng)
                 digest.update(repr(("dprime", answer)).encode())
     assert {backend: d.hexdigest() for backend, d in digests.items()} == {
-        "leaky": "08450a654e8703a52d5100d121da09069e1f0ec00434d1e71eabad04ba9ef34f",
-        "idealized": "ce3daecb502fb5b1b2b0f819e2c3062f0f94073b091387e68d202d76b8f76f58",
+        "leaky": "30fd2f6ff6f092172418bb0a0c7f196ed814a397b8b9a57a1d05b67cbbdea850",
+        "idealized": "4761dc9cbd1e47070b036e8ac527ebccd44892e3908265b5945e844329ddcc11",
     }
 
 
@@ -725,7 +725,7 @@ def test_hybrid_locate_report_and_distinguisher_are_golden():
             digest.update(bytes(loc.distinguisher(s, Stream(derive_seed(0xD15, t)))
                                 for t, s in enumerate(samples)))
     assert digest.hexdigest() == (
-        "142c0d5aee4b0f7f26a9ffadbf0124ce711859530dcebba50deb6d8e59d00f65")
+        "25338d50941ee877244fb474d2625ac28cc2e8379b11dca323d0e7e36abb6955")
 
 
 # --- definition equivalences ------------------------------------------------
