@@ -35,9 +35,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .commitments import Opening
+from . import cnf
+from .commitments import Opening, toy_constants
 from .induced import MPrimeInstance, MPrimeWitness, MPrimeRelation
-from .rng import GOLDEN, MIX1, MIX2
 from .structures import (
     AccessStructure,
     MonotoneCircuit,
@@ -221,15 +221,11 @@ def _mul_const(bd: Builder, xs, const: int, k: int):
 
 def toy_prg_wires(bd: Builder, seed_bits, k: int):
     """Circuit twin of :func:`npshare.commitments.prg_toy` (3k output wires)."""
-    mask = (1 << k) - 1
-    inc = _const_vec(GOLDEN & mask, k)
-    mults = (MIX1 & mask, MIX2 & mask, MIX1 & mask)
-    s1 = max(1, k // 2)
-    s2 = max(1, k // 2 + 1)
+    inc, mults, s1, s2 = toy_constants(k)
     state = list(seed_bits)
     out = []
     for t in range(3):
-        state = _add_vec(bd, state, inc, k)
+        state = _add_vec(bd, state, _const_vec(inc, k), k)
         z = _xorshift(bd, state, s1, k)
         z = _mul_const(bd, z, mults[t], k)
         z = _xorshift(bd, z, s2, k)
@@ -507,13 +503,9 @@ class CnfMPrimeRelation(MPrimeRelation):
 
     @functools.cached_property
     def cnf(self):
-        from .cnf import tseitin
-
-        return tseitin(self.circuit)
+        return cnf.tseitin(self.circuit)
 
     def check(self, witness) -> bool:
-        from .cnf import check_assignment
-
         if isinstance(witness, MPrimeWitness):
             circuit = self.circuit
             try:
@@ -526,4 +518,4 @@ class CnfMPrimeRelation(MPrimeRelation):
                 witness = [bool(b) for b in witness]
             except TypeError:
                 return False
-        return check_assignment(self.cnf, witness)
+        return cnf.check_assignment(self.cnf, witness)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .circuits import BooleanCircuit
-
 
 @dataclass
 class CNF:
@@ -41,7 +39,8 @@ class CNF:
                 raise ValueError("literal out of range")
 
 
-def tseitin(circuit: BooleanCircuit) -> CNF:
+def tseitin(circuit) -> CNF:
+    """The CNF of a :class:`npshare.circuits.BooleanCircuit`, numbered as above."""
     if isinstance(circuit.output, bool):
         # Output folded to a constant: keep the input variables, encode
         # unsatisfiability (if any) with a contradictory variable rather

@@ -47,20 +47,23 @@ def prg_splitmix64(seed: int, k: int) -> int:
     return Stream(seed).bits(3 * k)
 
 
+def toy_constants(k: int) -> tuple[int, tuple[int, int, int], int, int]:
+    """The toy expansion's k-bit increment, three multipliers and two shifts,
+    read by :func:`prg_toy` and its circuit in :mod:`npshare.circuits`."""
+    mask = (1 << k) - 1
+    return GOLDEN & mask, (MIX1 & mask, MIX2 & mask, MIX1 & mask), max(1, k // 2), k // 2 + 1
+
+
 def prg_toy(seed: int, k: int) -> int:
     """Circuit-friendly expansion: 3 mix rounds on k-bit words.
 
     Each round adds the (truncated) SplitMix64 increment, then applies
     xorshift / multiply / xorshift with the truncated finalizer
-    constants.  Output words are concatenated little-endian, word t at
-    bit offset t*k.  Must stay in lockstep with the circuit in
-    :mod:`npshare.circuits`.
+    constants (:func:`toy_constants`).  Output words are concatenated
+    little-endian, word t at bit offset t*k.
     """
     mask = (1 << k) - 1
-    inc = GOLDEN & mask
-    mults = (MIX1 & mask, MIX2 & mask, MIX1 & mask)
-    s1 = max(1, k // 2)
-    s2 = max(1, k // 2 + 1)
+    inc, mults, s1, s2 = toy_constants(k)
     state = seed & mask
     out = 0
     for t in range(3):
@@ -128,11 +131,6 @@ class CRS:
         """Per block j, ``block_outputs[j][seed] == prg(seed) << (j * 3k)``;
         one shared object per (expansion, k, ell), never built per CRS."""
         return _block_outputs(self.expansion, self.k, self.ell)
-
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        """Canonical JSON of :meth:`to_json`, rendered once per CRS."""
-        return serde.canonical_json_bytes(self.to_json())
 
     def prg(self, seed: int) -> int:
         return self.block_outputs[0][seed]

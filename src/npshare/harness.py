@@ -457,13 +457,16 @@ def shape_distinguisher():
     return D
 
 
+def _leaked(shares) -> bytes | None:
+    """The plaintext the first share's ciphertext leaks; None without shares."""
+    return leak_message(shares[0].ciphertext) if shares else None
+
+
 def leak_reader():
     """Reads the leaky backend's plaintext; 1 iff it equals s1, 0 otherwise."""
 
     def D(s0, s1, shares, sigma, rng):
-        if not shares:
-            return 0
-        return 1 if leak_message(shares[0].ciphertext) == s1 else 0
+        return 1 if _leaked(shares) == s1 else 0
 
     return D
 
@@ -487,14 +490,11 @@ def planted_bias_distinguisher(beta: float, probe_party: int, crs: CRS):
     threshold = int(beta * (1 << 53))
 
     def D(s0, s1, shares, sigma, rng):
-        if not shares:
-            return 0
-        ct = shares[0].ciphertext
-        leaked = leak_message(ct)
+        leaked = _leaked(shares)
         if leaked is None:
             return 0
         b = 1 if leaked == s1 else 0
-        com = load_relation(ct).instance.commitments[probe_party - 1]
+        com = load_relation(shares[0].ciphertext).instance.commitments[probe_party - 1]
         if find_opening(probe_party, com, crs) is not None:
             return b
         return b ^ 1 if rng.bits(53) < threshold else b
@@ -506,11 +506,10 @@ def leak_learner():
     """Sem-game learner: outputs the leaked secret, or zeros of the right length."""
 
     def learner(shares, sigma, rng):
-        if not shares:
-            return b""
-        ct = shares[0].ciphertext
-        leaked = leak_message(ct)
-        return leaked if leaked is not None else bytes(ct.msg_len)
+        leaked = _leaked(shares)
+        if leaked is None:
+            return bytes(shares[0].ciphertext.msg_len if shares else 0)
+        return leaked
 
     return learner
 

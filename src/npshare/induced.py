@@ -66,14 +66,7 @@ class MPrimeInstance:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        """``serde.canonical_json_bytes(self.to_json())``, rendered once, around
-        the CRS's and structure's own pre-rendered bytes (keys in sorted order)."""
-        coms = ",".join(f'"{c.to_json(self.crs)}"' for c in self.commitments)
-        return b"".join((
-            b'{"commitments":[', coms.encode("ascii"),
-            b'],"crs":', self.crs.canonical_bytes,
-            b',"structure":', self.structure.canonical_bytes, b"}",
-        ))
+        return serde.canonical_json_bytes(self.to_json())
 
     def digest(self) -> str:
         return serde.sha256_hex(self.canonical_bytes)
@@ -168,9 +161,9 @@ def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
 
 class MPrimeRelation:
     """Relation wrapper handed to the witness-encryption backends; ``tag``
-    is the ``"type"`` :meth:`describe` writes, by which ``we.load_relation``
-    rebuilds it.  Nothing is cached here: the instance renders its bytes once,
-    and a ciphertext keeps the digest it reads."""
+    is the ``"type"`` of the JSON object :meth:`describe` returns, by which
+    ``we.load_relation`` rebuilds it.  Nothing is cached here: the instance
+    renders its bytes once, and a ciphertext keeps the digest it reads."""
 
     tag = "mprime"
 
@@ -190,11 +183,8 @@ class MPrimeRelation:
         inst = self.instance  # an inner witness may be None, so not any(...)
         return any(True for _ in inner_witnesses(inst.structure, _openable_set(inst)))
 
-    def describe(self) -> bytes:
-        """Canonical JSON of ``{"instance": ..., "type": tag}``, spliced
-        around the instance's pre-rendered bytes."""
-        return (b'{"instance":' + self.instance.canonical_bytes
-                + f',"type":"{self.tag}"}}'.encode("ascii"))
+    def describe(self) -> dict:
+        return {"instance": self.instance.to_json(), "type": self.tag}
 
 
 def witness_from_json(obj: dict, crs: CRS) -> MPrimeWitness:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 
 from . import serde
@@ -208,14 +207,6 @@ class AccessStructure:
         if kind == "monotone-circuit":
             return cls(kind, n, MonotoneCircuit.from_json(n, serde.require(obj, "payload", dict)))
         return cls(kind, n, serde.require(obj, "payload", int))
-
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        """Canonical JSON of :meth:`to_json`, rendered once per structure."""
-        return serde.canonical_json_bytes(self.to_json())
-
-    def digest(self) -> str:
-        return serde.sha256_hex(self.canonical_bytes)
 
 
 def threshold_structure(n: int, t: int) -> AccessStructure:

@@ -23,10 +23,11 @@ distinct from the plain "wrong witness" outcome (None).
 
 A relation object must provide ``instance_digest()`` and ``check(w)``;
 ``leaky`` additionally needs ``in_language()``.  ``describe()``, where
-present, returns the canonical JSON bytes of an object whose ``"type"``
-is the relation class's ``tag``; they are spliced into the payload as
-they are.  :func:`load_relation` rebuilds the two induced-language
-relations from theirs, which makes parsed ciphertexts self-contained.
+present, returns a JSON object whose ``"type"`` is the relation class's
+``tag``; the payload, rendered whole by ``serde.canonical_json_bytes``,
+carries it as ``"relation"``.  :func:`load_relation` rebuilds the two
+induced-language relations from theirs, which makes parsed ciphertexts
+self-contained.
 A ciphertext from :func:`we_encrypt` keeps the fields it wrote as a
 cached parse and is built without its envelope bytes: its payload and
 instance digest are rendered on first read, so a reader of the fields
@@ -130,16 +131,13 @@ class WECiphertext:
         return self
 
 
-def _describe(relation) -> bytes:
+def _describe(relation) -> dict:
     describe = getattr(relation, "describe", None)
-    return describe() if describe is not None else b'{"type":"opaque"}'
+    return describe() if describe is not None else {"type": "opaque"}
 
 
-def _payload(fields: dict, relation_desc: bytes) -> bytes:
-    """Canonical JSON of ``fields`` plus "relation" and "v"; every key of
-    ``fields`` sorts before "relation", so the description is spliced in."""
-    head = serde.canonical_json_bytes(fields)
-    return b"".join((head[:-1], b',"relation":', relation_desc, b',"v":1}'))
+def _payload(fields: dict, description: dict) -> bytes:
+    return serde.canonical_json_bytes({**fields, "relation": description, "v": 1})
 
 
 def parse_payload(ct: WECiphertext) -> dict:

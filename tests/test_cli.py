@@ -26,7 +26,7 @@ from npshare.cli import (
 from npshare.rng import Stream
 from npshare.scheme import MissingShareError, MixedDealingError, setup
 from npshare.structures import AccessStructure
-from npshare.we import CorruptCiphertext, WeError
+from npshare.we import BACKENDS, CorruptCiphertext, WeError
 
 
 @pytest.fixture
@@ -818,36 +818,39 @@ def test_main_lets_other_exceptions_propagate(monkeypatch):
 
 
 def test_experiment_report_identical_across_processes(tmp_path):
-    # a dprime report, and every file a leaky dealing writes (its envelope
-    # bytes are rendered on first read), under two hash seeds
+    # the report of every experiment mode, and every file a dealing writes on
+    # each backend (its envelope bytes are rendered on first read), under two
+    # hash seeds
+    structure = {"kind": "threshold", "n": 3, "payload": 2}
     (tmp_path / "exp.json").write_text(json.dumps({
-        "structure": {"kind": "threshold", "n": 3, "payload": 2},
-        "backend": "leaky", "game": "dprime", "runs": 3, "epsilon": 0.5,
-    }))
-    (tmp_path / "deal.json").write_text(json.dumps({
-        "structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend": "leaky",
+        "structure": structure, "backend": "leaky", "trials": 100, "runs": 3, "epsilon": 0.5,
     }))
     (tmp_path / "secret.bin").write_bytes(b"hash seed")
+    for backend in BACKENDS:
+        (tmp_path / f"{backend}.json").write_text(
+            json.dumps({"structure": structure, "backend": backend}))
     src = str(pathlib.Path(__file__).parent.parent / "src")
-    reports, dealings = [], []
+    outputs = {}
     for hash_seed in ("0", "12345"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "npshare.cli", "--seed", "7", "experiment",
-             "--config", str(tmp_path / "exp.json")],
-            capture_output=True, env=env, timeout=300, check=True,
-        )
-        reports.append(proc.stdout)
-        out = tmp_path / f"deal_{hash_seed}"
-        subprocess.run(
-            [sys.executable, "-m", "npshare.cli", "--seed", "7", "deal", "--config",
-             str(tmp_path / "deal.json"), "--secret", str(tmp_path / "secret.bin"),
-             "--out", str(out)],
-            capture_output=True, env=env, timeout=300, check=True,
-        )
-        dealings.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert json.loads(reports[0])["game"] == "dprime"
-    assert reports[0] == reports[1]
-    assert sorted(dealings[0]) == ["dealing.json", "share_1.json", "share_2.json", "share_3.json"]
-    assert dealings[0] == dealings[1]
+
+        def npshare(*argv):
+            return subprocess.run([sys.executable, "-m", "npshare.cli", "--seed", "7",
+                                   *map(str, argv)],
+                                  capture_output=True, env=env, timeout=300, check=True).stdout
+
+        for game in cli.GAMES:
+            outputs[hash_seed, game] = npshare(
+                "experiment", game, "--config", tmp_path / "exp.json")
+        for backend in BACKENDS:
+            out = tmp_path / f"{backend}_{hash_seed}"
+            npshare("deal", "--config", tmp_path / f"{backend}.json",
+                    "--secret", tmp_path / "secret.bin", "--out", out)
+            outputs[hash_seed, backend] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for name in (*cli.GAMES, *BACKENDS):
+        assert outputs["0", name] == outputs["12345", name], name
+    assert [json.loads(outputs["0", game]).get("game") for game in cli.GAMES] == [
+        "ind", "sem", "dprime", None, "equiv"]  # a hybrid report has no "game"
+    assert sorted(outputs["0", "cnf"]) == [
+        "dealing.json", "share_1.json", "share_2.json", "share_3.json"]

@@ -464,9 +464,21 @@ def test_ind_game_leak_reader_advantage(leaky6):
     assert report.extra["advantage_conditioned"] > 0.9
 
 
-def test_ind_game_shape_reader_null_advantage(leaky6):
-    samp = mixed_sampler(leaky6.structure, 0.3, 4)
-    report = ind_game(leaky6, samp, shape_distinguisher(), 400, master_seed=92)
+def test_ind_game_shape_reader_null_advantage():
+    # the mixed sampler's unqualified X is one party, and one share's length
+    # is fixed per config for parties 1-9, so at n <= 9 the reader answers a
+    # constant on M(X) = 0; at n = 12 parties 10-12 write one more digit
+    leaky12 = SchemeContext.create(threshold_structure(12, 2), seed=31337, backend="leaky")
+    samp, shape, mx0_answers = mixed_sampler(leaky12.structure, 0.3, 4), shape_distinguisher(), []
+
+    def recording_shape(s0, s1, shares, sigma, rng):
+        answer = shape(s0, s1, shares, sigma, rng)
+        if not evaluate(leaky12.structure, PartySet.of(12, {s.party for s in shares})):
+            mx0_answers.append(answer)
+        return answer
+
+    report = ind_game(leaky12, samp, recording_shape, 400, master_seed=92)
+    assert set(mx0_answers) == {0, 1}
     assert report.advantage <= report.radius
 
 

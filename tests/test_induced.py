@@ -203,7 +203,7 @@ def test_instance_json_round_trip():
 @pytest.mark.parametrize("backend, in_language", [
     ("idealized", True), ("leaky", True), ("leaky", False), ("cnf", True),
 ])
-def test_spliced_bytes_equal_canonical_json(backend, in_language):
+def test_payload_and_digest_are_canonical_json(backend, in_language):
     structure = threshold_structure(3, 2)
     X = PartySet.full(3) if in_language else PartySet.empty(3)
     inst, _ = substituted_instance(structure, X, 90, expansion=default_expansion(backend))
