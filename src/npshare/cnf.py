@@ -7,15 +7,17 @@ XOR 4.  Satisfying assignments therefore project onto exactly the
 circuit's satisfying inputs.
 
 Every :class:`CNF` is validated when it is built: a negative variable
-count is refused, then C-level scans run over the clauses and their
-literals, and only when they find a fault the per-clause loop that names
-the first offender.
+count is refused; then each slice of ``SLICE`` clauses is flattened into
+one list (the only extra memory, ~100 KB) that C-level scans check; only
+on a fault does the per-clause loop run that names the first offender.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+
+SLICE = 4096  # clauses flattened per validation scan
 
 
 @dataclass
@@ -24,18 +26,23 @@ class CNF:
     clauses: list[tuple[int, ...]]
 
     def __post_init__(self):
-        n, clauses, lits = self.num_vars, self.clauses, chain.from_iterable
+        n, clauses = self.num_vars, self.clauses
         if n < 0:
             raise ValueError("negative variable count")
-        # Streaming passes: a set of the literals would add ~2 MB of peak
-        # memory on a 45k-clause formula.
-        if (all(clauses) and 0 not in lits(clauses)
-                and -n <= min(lits(clauses), default=0) and max(lits(clauses), default=0) <= n):
-            return
-        for clause in self.clauses:
+        # One flat list of a slice's literals at a time, three C-level scans
+        # each: ~100 KB, where a set of them all adds ~1 MB at 45k clauses.
+        if all(clauses):
+            for start in range(0, len(clauses), SLICE):
+                lits = list(chain.from_iterable(clauses[start:start + SLICE]))
+                if 0 in lits or not -n <= min(lits) <= max(lits) <= n:
+                    break
+                del lits  # freed before the next slice is flattened
+            else:
+                return
+        for clause in clauses:
             if not clause:
                 raise ValueError("empty clause")
-            if any(lit == 0 or abs(lit) > self.num_vars for lit in clause):
+            if any(lit == 0 or abs(lit) > n for lit in clause):
                 raise ValueError("literal out of range")
 
 
@@ -49,23 +56,23 @@ def tseitin(circuit) -> CNF:
         clauses = [] if circuit.output else [(1,), (-1,)]
         return CNF(num_vars, clauses)
     clauses: list[tuple[int, ...]] = []
-    base = circuit.n_inputs
-    for idx, gate in enumerate(circuit.gates):
-        g = base + idx + 1
-        op = gate[0]
-        a = gate[1] + 1
-        if op == "not":
-            clauses += ((g, a), (-g, -a))
+    add = clauses.extend
+    for g, gate in enumerate(circuit.gates, circuit.n_inputs + 1):
+        if len(gate) == 2:  # not
+            a = gate[1] + 1
+            add(((g, a), (-g, -a)))
             continue
-        b = gate[2] + 1
+        op, a, b = gate
+        a += 1
+        b += 1
         if op == "and":
-            clauses += ((-g, a), (-g, b), (g, -a, -b))
+            add(((-g, a), (-g, b), (g, -a, -b)))
         elif op == "or":
-            clauses += ((g, -a), (g, -b), (-g, a, b))
+            add(((g, -a), (g, -b), (-g, a, b)))
         else:  # xor
-            clauses += ((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b))
+            add(((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)))
     clauses.append((circuit.output + 1,))
-    return CNF(base + len(circuit.gates), clauses)
+    return CNF(circuit.n_inputs + len(circuit.gates), clauses)
 
 
 def check_assignment(cnf: CNF, assignment) -> bool:

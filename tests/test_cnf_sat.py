@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from heapq import heappop, heappush
 from itertools import combinations
 from pathlib import Path
@@ -11,12 +12,20 @@ import pytest
 
 from npshare import sat
 from npshare.circuits import Builder, compile_mprime, eval_circuit
-from npshare.cnf import CNF, check_assignment, dimacs, parse_dimacs, tseitin
+from npshare.cnf import CNF, SLICE, check_assignment, dimacs, parse_dimacs, tseitin
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import MPrimeInstance, exhaustive_witness_search
 from npshare.rng import Stream, derive_seed
 from npshare.sat import BudgetExceeded, enumerate_sat, solve_cnf
-from npshare.structures import PartySet, edge_index, hamiltonian_structure, threshold_structure
+from npshare.structures import (
+    MonotoneCircuit,
+    PartySet,
+    circuit_structure,
+    edge_index,
+    hamiltonian_structure,
+    matching_structure,
+    threshold_structure,
+)
 
 
 def test_single_and_gate_clause_count():
@@ -88,6 +97,100 @@ def test_tseitin_models_project_to_circuit_inputs():
             assert projected == accepted
 
 
+def reference_tseitin(circuit):
+    """A plain per-gate encoder that ``tseitin`` must match clause for clause."""
+    if isinstance(circuit.output, bool):
+        clauses = [] if circuit.output else [(1,), (-1,)]
+        return CNF(max(circuit.n_inputs, 1), clauses)
+    clauses = []
+    base = circuit.n_inputs
+    for idx, gate in enumerate(circuit.gates):
+        g = base + idx + 1
+        op = gate[0]
+        a = gate[1] + 1
+        if op == "not":
+            clauses += ((g, a), (-g, -a))
+            continue
+        b = gate[2] + 1
+        if op == "and":
+            clauses += ((-g, a), (-g, b), (g, -a, -b))
+        elif op == "or":
+            clauses += ((g, -a), (g, -b), (-g, a, b))
+        else:  # xor
+            clauses += ((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b))
+    clauses.append((circuit.output + 1,))
+    return CNF(base + len(circuit.gates), clauses)
+
+
+def assert_same_encoding(circuit):
+    got, want = tseitin(circuit), reference_tseitin(circuit)
+    assert got.num_vars == want.num_vars
+    assert got.clauses == want.clauses
+
+
+def folded_circuits():
+    """Circuits with gates whose output folds to True and to False."""
+    bd = Builder(3)
+    x = bd.and_(0, 1)
+    yield bd.finish(bd.or_(x, bd.not_(x)))      # True
+    bd = Builder(3)
+    x = bd.xor(bd.or_(0, 2), 1)
+    yield bd.finish(bd.xor(x, x))               # False
+    yield Builder(0).finish(False)
+
+
+def test_tseitin_equals_reference_on_random_circuits():
+    ops = set()
+    for trial in range(200):
+        rng = Stream(derive_seed(0x75E2, trial))
+        circuit = random_circuit(rng, 1 + rng.randrange(8), rng.randrange(40))
+        ops.update(gate[0] for gate in circuit.gates)
+        assert_same_encoding(circuit)
+    assert ops == {"and", "or", "xor", "not"}
+    folded = list(folded_circuits())
+    assert [c.output for c in folded] == [True, False, False]
+    assert folded[0].gates and folded[1].gates
+    for circuit in folded:
+        assert_same_encoding(circuit)
+
+
+# The share_cnf benchmark's circuit: (x1 & x2 & w) | (x3 & x4 & x5 & ~w).
+CIRCUIT5 = circuit_structure(
+    MonotoneCircuit(
+        n_std=5, n_free=1,
+        gates=(("not", 5), ("and", 0, 1), ("and", 7, 5), ("and", 2, 3),
+               ("and", 9, 4), ("and", 10, 6), ("or", 8, 11)),
+        output=12,
+    )
+)
+
+# SHA-256 of dimacs(tseitin(compile_mprime(inst))) for the honest instance
+# of each structure (every party commits to its own index), recorded with
+# the per-gate encoder above.
+COMPILED_DIMACS_SHA256 = [
+    (threshold_structure(6, 2), "65b749118ba4343a367c1c772de873aaa5a16b3b49d7694246edaad5a26bd4d2"),
+    (CIRCUIT5, "f674e10339589b7f624eb088dee4e6a6c36deb92526c19679b66d82fe1b5b7fa"),
+    (hamiltonian_structure(4), "70aaddc80965cbfc3812a8331e2ee68a7ffa2b331da2cef8a1348fa9451acfb6"),
+    (hamiltonian_structure(5), "3556c29d7b085d412811843c3137dad768bd28f73c0561118fd4075042aaaee8"),
+    (matching_structure(4), "67d665e7af1fca39b224bbe5152a42bba402a855993284fba075e43b3a99f206"),
+    (threshold_structure(6, 3), "90d3c16bed4ec226ce0220551e6fae7aa6c1bb9bc7f7422f0b5ae531e511afef"),
+]
+
+
+def honest_circuit(structure):
+    n = structure.n
+    return substituted_circuit(structure, PartySet.full(n), derive_seed(0x75E1, n))
+
+
+@pytest.mark.parametrize("structure,digest", COMPILED_DIMACS_SHA256,
+                         ids=["threshold(6,2)", "circuit5", "hamiltonian(4)", "hamiltonian(5)",
+                              "matching(4)", "threshold(6,3)"])
+def test_tseitin_of_compiled_instances_is_golden(structure, digest):
+    circuit = honest_circuit(structure)
+    assert_same_encoding(circuit)
+    assert hashlib.sha256(dimacs(tseitin(circuit)).encode()).hexdigest() == digest
+
+
 def per_clause_fault(num_vars, clauses):
     """The first fault the per-clause validation loop reports, or None."""
     for clause in clauses:
@@ -120,6 +223,67 @@ def test_cnf_validation_accepts_in_range_formulas():
     for num_vars, clauses in ((3, [(1, -3), (-1, 2, 3)]), (3, []), (0, []), (1, [(1,), (-1,)])):
         assert per_clause_fault(num_vars, clauses) is None
         assert CNF(num_vars, clauses).clauses == clauses
+
+
+def sliced_formula(num_vars=40):
+    """A valid formula of two full validation slices and a partial third,
+    using the extreme literals n and -n."""
+    rng = Stream(0x511CE)
+    clauses = random_cnf(rng, num_vars, 2 * SLICE + 1000).clauses
+    clauses[0], clauses[SLICE - 1], clauses[-2] = (num_vars,), (-num_vars, 1), (1, num_vars)
+    return num_vars, clauses
+
+
+BOUNDARY_FAULTS = {
+    "empty": lambda n: (),
+    "zero": lambda n: (1, 0),
+    "above": lambda n: (2, n + 1),
+    "below": lambda n: (-(n + 1),),
+}
+
+
+def test_cnf_validation_accepts_sliced_formula_unchanged():
+    num_vars, clauses = sliced_formula()
+    before = list(clauses)
+    assert len(clauses) > 2 * SLICE and per_clause_fault(num_vars, clauses) is None
+    cnf = CNF(num_vars, clauses)
+    assert cnf.clauses is clauses and clauses == before
+
+
+@pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
+@pytest.mark.parametrize("where", ["first of slice 2", "last of partial slice"])
+def test_cnf_validation_faults_at_slice_boundaries(fault, where):
+    num_vars, clauses = sliced_formula()
+    clauses[SLICE if where == "first of slice 2" else -1] = BOUNDARY_FAULTS[fault](num_vars)
+    message = per_clause_fault(num_vars, clauses)
+    assert message is not None
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CNF(num_vars, clauses)
+
+
+@pytest.mark.parametrize("first,second", [("above", "empty"), ("empty", "zero")])
+def test_cnf_validation_names_fault_of_slice_1_before_slice_2(first, second):
+    num_vars, clauses = sliced_formula()
+    clauses[SLICE - 1] = BOUNDARY_FAULTS[first](num_vars)
+    clauses[SLICE] = BOUNDARY_FAULTS[second](num_vars)
+    message = per_clause_fault(num_vars, clauses)
+    assert message == per_clause_fault(num_vars, [clauses[SLICE - 1]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CNF(num_vars, clauses)
+
+
+def test_cnf_validation_memory_stays_within_one_slice():
+    # A set of every literal costs ~1 MB on this formula; the sliced scans
+    # hold one slice's flat literal list at a time.
+    cnf = tseitin(honest_circuit(hamiltonian_structure(5)))
+    assert len(cnf.clauses) > 45_000
+    tracemalloc.start()
+    try:
+        CNF(cnf.num_vars, cnf.clauses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def per_literal_check(cnf, assignment):
@@ -263,9 +427,9 @@ def test_compiled_honest_instance_sat_and_decodes():
     assert mprime_verify(inst, decode_witness(circuit, assignment)) is True
 
 
-def substituted_cnf(structure, X, seed):
-    """Tseitin CNF of the instance whose positions in X commit to their
-    own index and the others to n + i: satisfiable iff X is qualified."""
+def substituted_circuit(structure, X, seed):
+    """Compiled verifier of the instance whose positions in X commit to
+    their own index and the others to n + i: satisfiable iff X is qualified."""
     n = structure.n
     rng = Stream(seed)
     crs = crs_gen(n, 8, rng, expansion="toy")
@@ -273,7 +437,11 @@ def substituted_cnf(structure, X, seed):
         commit(i if i in X else n + i, sample_opening(crs, rng), crs) for i in range(1, n + 1)
     )
     inst = MPrimeInstance(crs=crs, commitments=coms, structure=structure)
-    return tseitin(compile_mprime(inst))
+    return compile_mprime(inst)
+
+
+def substituted_cnf(structure, X, seed):
+    return tseitin(substituted_circuit(structure, X, seed))
 
 
 def random_3sat(rng, n_vars):
