@@ -19,7 +19,7 @@ Only the "toy" expansion compiles (three k-bit mix rounds; the 64-bit
 default would be needlessly large at desk scale), so instances headed
 for this pipeline must use CRSs with ``expansion="toy"``.
 ``check_compilable`` holds this and the size bounds.  ``CnfMPrimeRelation``
-checks them at construction and builds its circuit and CNF on its first
+checks them at construction and builds its circuit and CNF on each
 ``check``, so a dealing fails early but compiles nothing.
 
 Gates are AND/OR/NOT/XOR over earlier wires; the builder constant-folds
@@ -488,7 +488,7 @@ class CnfMPrimeRelation(MPrimeRelation):
     through the witness-extension map, so the scheme's RECON flow is
     backend-agnostic.  The backend never searches; it only verifies.
     The compile bounds are checked at construction; the circuit and its
-    CNF are built on the first ``check``, so dealing builds neither.
+    CNF are built on each ``check``, so dealing builds neither.
     """
 
     tag = "mprime-cnf"
@@ -497,17 +497,9 @@ class CnfMPrimeRelation(MPrimeRelation):
         check_compilable(instance)
         super().__init__(instance)
 
-    @functools.cached_property
-    def circuit(self) -> BooleanCircuit:
-        return compile_mprime(self.instance)
-
-    @functools.cached_property
-    def cnf(self):
-        return cnf.tseitin(self.circuit)
-
     def check(self, witness) -> bool:
+        circuit = compile_mprime(self.instance)
         if isinstance(witness, MPrimeWitness):
-            circuit = self.circuit
             try:
                 inputs = lift_witness(circuit, witness)
             except ValueError:  # wrong opening count or malformed inner witness
@@ -518,4 +510,4 @@ class CnfMPrimeRelation(MPrimeRelation):
                 witness = [bool(b) for b in witness]
             except TypeError:
                 return False
-        return cnf.check_assignment(self.cnf, witness)
+        return cnf.check_assignment(cnf.tseitin(circuit), witness)

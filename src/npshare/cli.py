@@ -89,11 +89,17 @@ def _scheme_options(config: dict, backend: str) -> dict:
             "expansion": _get(config, "expansion", (str, type(None)), None, need="a string")}
 
 
-def _parse_structure(obj) -> AccessStructure:
+MAX_PARTIES = 127  # every share embeds all n commitments, so a dealing grows as n^2
+
+
+def _parse_structure(obj, max_n: int | None = MAX_PARTIES) -> AccessStructure:
     try:
-        return AccessStructure.from_json(obj)
+        structure = AccessStructure.from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad structure description: {exc}") from exc
+    if max_n is not None and structure.n > max_n:
+        raise ConfigError(f"structure n must be at most {max_n}, got {structure.n}")
+    return structure
 
 
 def _parse_parties(text: str, n: int) -> PartySet:
@@ -153,7 +159,7 @@ def cmd_recon(args) -> int:
 
 
 def cmd_structure_check(args) -> int:
-    structure = _parse_structure(_load_json(args.structure))
+    structure = _parse_structure(_load_json(args.structure), max_n=None)
     ok = check_monotone(
         structure,
         mode=args.mode,
@@ -195,7 +201,7 @@ def _run_experiment(config, seed) -> dict:
     game = _get(config, "game", str, "ind")
     trials = _get(config, "trials", int, 1000, lambda v: v > 0, "a positive integer")
     delta = _get(config, "delta", float, 0.01, lambda v: 0 < v < 1, "a number in (0, 1)")
-    eps = _get(config, "epsilon", float, 0.3)
+    eps = _get(config, "epsilon", float, 0.3, lambda v: 0.1 <= v <= 1, "a number in [0.1, 1]")
     if game not in GAMES:
         raise ConfigError(f"unknown game {game!r}")
     if game == "hybrid":

@@ -132,9 +132,6 @@ class CRS:
         one shared object per (expansion, k, ell), never built per CRS."""
         return _block_outputs(self.expansion, self.k, self.ell)
 
-    def prg(self, seed: int) -> int:
-        return self.block_outputs[0][seed]
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -18,7 +18,6 @@ maximal openable set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import serde
 from .commitments import (
@@ -64,12 +63,8 @@ class MPrimeInstance:
             structure=AccessStructure.from_json(obj["structure"]),
         )
 
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        return serde.canonical_json_bytes(self.to_json())
-
     def digest(self) -> str:
-        return serde.sha256_hex(self.canonical_bytes)
+        return serde.sha256_hex(serde.canonical_json_bytes(self.to_json()))
 
 
 @dataclass(frozen=True)
@@ -162,8 +157,8 @@ def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
 class MPrimeRelation:
     """Relation wrapper handed to the witness-encryption backends; ``tag``
     is the ``"type"`` of the JSON object :meth:`describe` returns, by which
-    ``we.load_relation`` rebuilds it.  Nothing is cached here: the instance
-    renders its bytes once, and a ciphertext keeps the digest it reads."""
+    ``we.load_relation`` rebuilds it.  Nothing is cached here or on the
+    instance: a ciphertext keeps the digest it reads."""
 
     tag = "mprime"
 

@@ -21,10 +21,10 @@ The symmetric layer is XOR with a SplitMix64-derived keystream plus a
 64-bit checksum; corruption is reported as :class:`CorruptCiphertext`,
 distinct from the plain "wrong witness" outcome (None).
 
-A relation object must provide ``instance_digest()`` and ``check(w)``;
-``leaky`` additionally needs ``in_language()``.  ``describe()``, where
-present, returns a JSON object whose ``"type"`` is the relation class's
-``tag``; the payload, rendered whole by ``serde.canonical_json_bytes``,
+A relation object must provide ``instance_digest()``, ``check(w)`` and
+``describe()``; ``leaky`` additionally needs ``in_language()``.
+``describe()`` returns a JSON object whose ``"type"`` is the relation
+class's ``tag``; the payload, rendered whole by ``serde.canonical_json_bytes``,
 carries it as ``"relation"``.  :func:`load_relation` rebuilds the two
 induced-language relations from theirs, which makes parsed ciphertexts
 self-contained.
@@ -92,7 +92,7 @@ class WECiphertext:
 
     def __getattr__(self, name):  # reached only while an envelope attribute is unset
         if name == "payload":
-            value = _payload(self.fields, _describe(self.relation))
+            value = _payload(self.fields, self.relation.describe())
         elif name == "instance_digest":
             value = self.relation.instance_digest()
         else:
@@ -122,18 +122,6 @@ class WECiphertext:
             msg_len=msg_len,
             payload=bytes.fromhex(serde.require(obj, "payload", str)),
         )
-
-    def bind(self, relation) -> "WECiphertext":
-        if relation.instance_digest() != self.instance_digest:
-            raise WeError("relation does not match the ciphertext's instance digest")
-        self.payload  # render an unread payload from the encrypter's relation first
-        self.relation = relation
-        return self
-
-
-def _describe(relation) -> dict:
-    describe = getattr(relation, "describe", None)
-    return describe() if describe is not None else {"type": "opaque"}
 
 
 def _payload(fields: dict, description: dict) -> bytes:
@@ -175,7 +163,7 @@ def load_relation(ct: WECiphertext):
         tag = obj["relation"].get("type")
         loader = next((c for c in (MPrimeRelation, CnfMPrimeRelation) if c.tag == tag), None)
         if loader is None:
-            raise UnboundRelation(f"no loader for relation type {tag!r}; bind() a relation first")
+            raise UnboundRelation(f"no loader for relation type {tag!r}")
         try:
             relation = loader(MPrimeInstance.from_json(obj["relation"]["instance"]))
         except (KeyError, TypeError, ValueError) as exc:

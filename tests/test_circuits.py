@@ -234,7 +234,8 @@ def test_cnf_relation_accepts_both_witness_forms():
     rel = CnfMPrimeRelation(inst)
     wit = MPrimeWitness(openings=(openings[0], openings[1], None), inner=None)
     assert rel.check(wit) is True
-    assignment = eval_wires(rel.circuit, lift_witness(rel.circuit, wit))
+    circuit = compile_mprime(inst)
+    assignment = eval_wires(circuit, lift_witness(circuit, wit))
     assert rel.check(assignment) is True
     assert rel.check(assignment[:-5]) is False  # length mismatch -> invalid
     assert rel.check("garbage") is False

@@ -207,6 +207,30 @@ def test_experiment_ind_report_bundled_config(workdir):
     assert report["advantage"] >= 0.2
 
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README_EXPERIMENTS = [line.split()[1:] for line in (ROOT / "README.md").read_text().splitlines()
+                      if line.startswith("npshare experiment ")]
+REPORT_KEYS = {
+    "ind": {"game", "trials", "count0", "count1", "advantage", "radius", "delta", "master_seed"},
+    "dprime": {"game", "runs", "epsilon", "master_seed", "accept_a0", "accept_a1", "gap"},
+}
+
+
+def test_readme_names_experiment_commands():
+    assert len(README_EXPERIMENTS) >= 2
+
+
+@pytest.mark.parametrize("argv", README_EXPERIMENTS, ids=" ".join)
+def test_readme_experiment_command_exits_0_with_its_report(tmp_path, argv):
+    """Each ``npshare experiment`` line of README's command block runs as
+    written (config paths relative to the repository root)."""
+    argv = [str(ROOT / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["game"] == argv[1] and REPORT_KEYS[argv[1]] <= report.keys()
+
+
 def test_recon_with_witness_file(workdir):
     (workdir / "ham_cfg.json").write_text(json.dumps({
         "structure": {"kind": "hamiltonian", "n": 6, "payload": 4},
@@ -382,6 +406,7 @@ def test_experiment_zero_trials_exit_2(workdir):
 
 
 THRESHOLD3 = {"structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend": "leaky"}
+THRESHOLD128 = {"kind": "threshold", "n": 128, "payload": 2}  # one party above cli.MAX_PARTIES
 
 
 @pytest.mark.parametrize("command,config", [
@@ -408,11 +433,17 @@ THRESHOLD3 = {"structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend
     ("experiment", {**THRESHOLD3, "secret_len": 0}),
     ("experiment", {**THRESHOLD3, "secret_len": 65}),
     ("experiment", {"game": "hybrid", "n": 65}),
+    ("experiment", {**THRESHOLD3, "epsilon": 0.09}),
+    ("experiment", {**THRESHOLD3, "epsilon": 0}),
+    ("experiment", {**THRESHOLD3, "epsilon": 1.5}),
+    ("deal", {**THRESHOLD3, "structure": THRESHOLD128}),
+    ("experiment", {**THRESHOLD3, "structure": THRESHOLD128}),
 ], ids=["deal-no-structure", "deal-number", "deal-null", "deal-k-list", "experiment-empty",
         "k-list", "delta-null", "delta-0", "sampler-number", "p_unqualified-list",
         "hybrid-n-0", "hybrid-position-9", "deal-k-65", "deal-k-1e6", "k-65", "k-1e6",
         "secret_bits", "deal-lam-7", "deal-lam-257", "lam-257", "secret_len-0",
-        "secret_len-65", "hybrid-n-65"])
+        "secret_len-65", "hybrid-n-65", "epsilon-0.09", "epsilon-0", "epsilon-1.5",
+        "deal-n-128", "n-128"])
 def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config):
     (workdir / "bad.json").write_text(json.dumps(config))
     argv = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if command == "deal" else ()
@@ -428,12 +459,25 @@ def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config)
     ("deal", {**THRESHOLD3, "lam": 256}),
     ("experiment", {**THRESHOLD3, "trials": 100, "secret_len": 64}),
     ("experiment", {**THRESHOLD3, "game": "hybrid", "trials": 100, "n": 64}),
-], ids=["deal-lam-8", "deal-lam-256", "secret_len-64", "hybrid-n-64"])
+    ("experiment", {**THRESHOLD3, "game": "dprime", "runs": 1, "epsilon": 0.1}),
+    ("experiment", {**THRESHOLD3, "game": "dprime", "runs": 1, "epsilon": 1}),
+    # 0.2 s and 1.8 MB for the deal, 0.4 s for the experiment (2-core box)
+    ("deal", {**THRESHOLD3, "structure": {**THRESHOLD128, "n": 127}}),
+    ("experiment", {**THRESHOLD3, "structure": {**THRESHOLD128, "n": 127}, "trials": 100}),
+], ids=["deal-lam-8", "deal-lam-256", "secret_len-64", "hybrid-n-64", "epsilon-0.1",
+        "epsilon-1", "deal-n-127", "n-127"])
 def test_size_keys_at_their_bounds_exit_0(workdir, command, config):
     (workdir / "edge.json").write_text(json.dumps(config))
     argv = ("--secret", workdir / "secret.bin") if command == "deal" else ()
     assert run(command, "--config", workdir / "edge.json", *argv,
                "--out", workdir / "x") == EXIT_OK
+
+
+def test_structure_check_is_not_bounded_by_the_config_party_limit(workdir, capsys):
+    (workdir / "big.json").write_text(json.dumps(THRESHOLD128))
+    assert run("structure", "check", "--structure", workdir / "big.json", "--mode", "sampled",
+               "--trials", 10) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["n"] == 128
 
 
 @pytest.mark.parametrize("runs", [0, -2, True])

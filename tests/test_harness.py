@@ -311,10 +311,10 @@ def test_mest_with_leak_reader_renders_no_envelope(leaky6, monkeypatch):
     # the leak reader reads only a ciphertext's cached fields, so no dver
     # renders or hashes an instance: both are built on first read
     calls = []
-    real_sha, real_bytes = serde.sha256_hex, MPrimeInstance.canonical_bytes.func
+    real_sha, real_bytes = serde.sha256_hex, serde.canonical_json_bytes
     monkeypatch.setattr(serde, "sha256_hex", lambda data: calls.append("sha") or real_sha(data))
-    monkeypatch.setattr(MPrimeInstance, "canonical_bytes", property(
-        lambda inst: calls.append("bytes") or real_bytes(inst)))
+    monkeypatch.setattr(serde, "canonical_json_bytes",
+                        lambda obj: calls.append("bytes") or real_bytes(obj))
     mest(S0, S1, PartySet.full(6), 0.3, 6, leaky6, leak_reader(), Stream(5))
     assert calls == []
     leaky6.deal(S1, Stream(6)).shares[0].ciphertext.to_json()
