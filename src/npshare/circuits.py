@@ -18,9 +18,8 @@ Hamiltonian cycles and an exactly-once cover for matchings.
 Only the "toy" expansion compiles (three k-bit mix rounds; the 64-bit
 default would be needlessly large at desk scale), so instances headed
 for this pipeline must use CRSs with ``expansion="toy"``.
-``check_compilable`` holds this and the size bounds.  ``CnfMPrimeRelation``
-checks them at construction and builds its circuit and CNF on each
-``check``, so a dealing fails early but compiles nothing.
+``check_compilable`` holds this and the size bounds, which
+``CnfMPrimeRelation`` checks at construction: a dealing compiles nothing.
 
 Gates are AND/OR/NOT/XOR over earlier wires; the builder constant-folds
 and deduplicates structurally, so instance constants never appear as
@@ -486,9 +485,9 @@ class CnfMPrimeRelation(MPrimeRelation):
 
     ``check`` also accepts a plain induced-language witness and lifts it
     through the witness-extension map, so the scheme's RECON flow is
-    backend-agnostic.  The backend never searches; it only verifies.
-    The compile bounds are checked at construction; the circuit and its
-    CNF are built on each ``check``, so dealing builds neither.
+    backend-agnostic.  It only verifies, never searches.  Construction
+    checks the compile bounds; each ``check`` builds and drops the circuit
+    and its CNF with the collector paused, so dealing builds neither.
     """
 
     tag = "mprime-cnf"
@@ -497,6 +496,7 @@ class CnfMPrimeRelation(MPrimeRelation):
         check_compilable(instance)
         super().__init__(instance)
 
+    @cnf.gc_paused
     def check(self, witness) -> bool:
         circuit = compile_mprime(self.instance)
         if isinstance(witness, MPrimeWitness):

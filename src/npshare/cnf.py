@@ -14,10 +14,32 @@ on a fault does the per-clause loop run that names the first offender.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from itertools import chain
 
 SLICE = 4096  # clauses flattened per validation scan
+
+
+def gc_paused(fn):
+    """Run ``fn`` with the cyclic collector paused; restore the state found.
+
+    Pause a call whose large temporaries all die inside: their acyclic lists
+    and tuples made collections that found nothing, 13-16% of decide's time.
+    Not one that returns a large structure (``compile_mprime``, ``tseitin``):
+    the put-off collection walks the live result after it (share_cnf +4%).
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 @dataclass

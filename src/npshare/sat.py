@@ -13,17 +13,15 @@ Two entry points with different scope:
 
 Both solvers return a full assignment (list of bools, variable v at
 index v-1) or None for unsatisfiable; SAT answers are re-verified
-against the clause set before being returned.  :func:`solve_cnf` searches
-the clauses with tautologies dropped and repeated literals removed (first
-occurrences kept); its set-up finds the clauses that need neither by
-comparing literals, so Tseitin's 2- and 3-literal clauses build no set.
+against the clause set before being returned.  :func:`solve_cnf` runs
+with the cyclic garbage collector paused (``cnf.gc_paused``).
 """
 
 from __future__ import annotations
 
 from heapq import heappush, heappop
 
-from .cnf import CNF, check_assignment
+from .cnf import CNF, check_assignment, gc_paused
 
 
 class BudgetExceeded(ValueError):
@@ -57,15 +55,17 @@ def _luby(i: int) -> int:
     return 1 << seq
 
 
+@gc_paused
 def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
     """CDCL search; returns an assignment or None (unsat).
 
-    ``max_conflicts`` guards runaway instances (RuntimeError when hit).
+    ``max_conflicts`` guards runaway instances (RuntimeError when hit).  No
+    search state outlives the call, so it runs with the collector paused.
     Set-up copies each clause and calls it normal when no variable occurs
-    twice in it: pairwise literal comparisons for 2 and 3 literals, a set
-    of variables for more.  Normal clauses are watched as they are; the
-    rest drop repeated literals (first occurrences kept), tautologies are
-    skipped, and what is left with one literal becomes an initial unit.
+    twice in it: pairwise literal comparisons for 2 and 3 literals (so
+    Tseitin's clauses build no set), a set of variables for more.  Normal
+    clauses are watched as they are; the rest drop repeated literals (first
+    occurrences kept), tautologies are skipped, and a lone literal is a unit.
     Literals are the CNF's signed ints: ``val``, ``level``, ``reason``,
     ``seen`` and ``watches`` are indexed by the literal itself (size
     2*nv+1, so a negative literal addresses the tail), the first four at

@@ -1,5 +1,7 @@
 """Circuit compilation: PRG twin, verifier equivalence, witness lifting."""
 
+import gc
+
 import pytest
 
 from npshare.circuits import (
@@ -330,3 +332,37 @@ def test_backends_accept_the_same_inner_witnesses(structure, qualified, inner, e
         openings[i - 1] if i in qualified else None for i in range(1, structure.n + 1)))
     assert MPrimeRelation(inst).check(wit) is expected
     assert CnfMPrimeRelation(inst).check(wit) is expected
+
+
+class RaisingBit:
+    def __bool__(self):
+        raise RuntimeError("unreadable bit")
+
+
+def test_cnf_check_runs_no_collection(collections_during):
+    inst, openings = toy_instance(hamiltonian_structure(4), 1004)
+    wit = MPrimeWitness(inner=(1, 2, 3, 4), openings=tuple(
+        openings[i - 1] if i in HAM4_CYCLE else None for i in range(1, 7)))
+    assert gc.isenabled()
+    accepted, collections = collections_during(CnfMPrimeRelation(inst).check, wit)
+    assert accepted is True and collections == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cnf_check_restores_collector_state(enabled):
+    inst, openings = toy_instance(threshold_structure(3, 2), 600)
+    rel = CnfMPrimeRelation(inst)
+    accepted = MPrimeWitness(openings=(openings[0], openings[1], None), inner=None)
+    malformed = MPrimeWitness(openings=(openings[0],), inner=None)  # lift raises ValueError
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert rel.check(accepted) is True
+        assert gc.isenabled() is enabled
+        assert rel.check(malformed) is False
+        assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="unreadable bit"):
+            rel.check([RaisingBit()])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

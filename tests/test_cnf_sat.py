@@ -1,5 +1,6 @@
 """Tseitin encoding and the SAT oracles."""
 
+import gc
 import hashlib
 import subprocess
 import sys
@@ -457,6 +458,9 @@ def random_3sat(rng, n_vars):
     return CNF(n_vars, clauses)
 
 
+HAM4_CYCLE = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))}
+
+
 def trajectory_corpus():
     # 436, 1457 and 5522 conflicts: restarts, and at the last one an
     # activity rescale (activities pass 1e100 after ~4500 conflicts)
@@ -477,11 +481,10 @@ def trajectory_corpus():
             break
     for holes in (3, 4, 5):
         yield pigeonhole(holes)
-    cycle = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))}
     path = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4))}
     for structure, planted, unplanted in (
         (threshold_structure(6, 3), {1, 3, 5}, {2, 6}),
-        (hamiltonian_structure(4), cycle, path),
+        (hamiltonian_structure(4), HAM4_CYCLE, path),
     ):
         for X in (planted, unplanted):
             yield substituted_cnf(structure, PartySet.of(structure.n, X), 0x601F)
@@ -586,6 +589,43 @@ def test_cnf_rejects_negative_variable_count():
 def test_solve_cnf_budget_raises_runtime_error():
     with pytest.raises(RuntimeError, match="conflict budget exceeded"):
         solve_cnf(pigeonhole(4), max_conflicts=2)
+
+
+def test_solve_cnf_runs_no_collection(collections_during):
+    formula = substituted_cnf(hamiltonian_structure(4), PartySet.of(6, HAM4_CYCLE), 0x601F)
+    assert len(formula.clauses) == 21_720
+    assert gc.isenabled()
+    result, collections = collections_during(solve_cnf, formula, max_conflicts=200_000)
+    assert result is not None and collections == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("formula, raises", [
+    (CNF(2, [(1, 2), (-1,)]), None),
+    (pigeonhole(3), None),
+    (pigeonhole(4), RuntimeError),
+], ids=["sat", "unsat", "budget"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_solve_cnf_restores_collector_state(formula, raises, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(raises, match="conflict budget exceeded"):
+                solve_cnf(formula, max_conflicts=2)
+        else:
+            solve_cnf(formula)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_paused_entry_points_keep_their_names():
+    # the benchmark's tracer names its spans from these
+    from npshare.circuits import CnfMPrimeRelation
+
+    assert solve_cnf.__qualname__ == "solve_cnf"
+    assert solve_cnf.__module__ == "npshare.sat"
+    assert CnfMPrimeRelation.check.__qualname__ == "CnfMPrimeRelation.check"
 
 
 def test_solve_cnf_reverifies_without_assert(monkeypatch):

@@ -1,12 +1,12 @@
 """Commitment layer: golden vectors, sizes, binding, hiding smoke test."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
 
 from npshare.commitments import (
     CRS,
@@ -380,6 +380,19 @@ def two_sample_chi2(counts_a, counts_b):
     return stat, bins - 1
 
 
+@pytest.mark.parametrize("dof", [2, 4, 10, 40, 128, 256])
+def test_chi2_sf_matches_closed_form_at_even_dof(chi2_sf, dof):
+    # For even dof, P(chi^2 > x) = exp(-x/2) * sum_{i < dof/2} (x/2)^i / i!,
+    # which checks both the series (x < dof + 2) and the continued fraction.
+    for x in (0.01, 0.5 * dof, 0.9 * dof, dof + 1.9, dof + 2.1, 1.5 * dof, 3.0 * dof + 20):
+        half, term, closed = x / 2, 1.0, 0.0
+        for i in range(dof // 2):
+            closed += term
+            term *= half / (i + 1)
+        closed *= math.exp(-half)
+        assert chi2_sf(x, dof) == pytest.approx(closed, rel=1e-10, abs=1e-15)
+
+
 def _hiding_chi2_stat(k, samples=10_000):
     crs = crs_gen(4, k, Stream(0x11DE))
     counts = [[0] * 256, [0] * 256]
@@ -391,18 +404,18 @@ def _hiding_chi2_stat(k, samples=10_000):
     return two_sample_chi2(counts[0], counts[1])
 
 
-def test_hiding_chi2_smoke():
+def test_hiding_chi2_smoke(chi2_sf):
     # First block of commit(1, .) vs commit(2, .): the marginals should be
     # statistically indistinguishable for the pinned PRG.  Not a security
     # proof; a sanity check at significance 0.001.  Meaningful only when
     # the seed space dwarfs the sample count, hence k=24 here.
     stat, dof = _hiding_chi2_stat(24)
-    assert stat < chi2.ppf(1 - 0.001, dof)
+    assert chi2_sf(stat, dof) > 0.001
 
 
-def test_hiding_fails_at_tiny_seed_space():
+def test_hiding_fails_at_tiny_seed_space(chi2_sf):
     # The flip side of statistical binding: with only 2^8 seeds the two
     # block distributions are sparse permuted histograms and the same
     # test rightly rejects.  Documented, expected behavior at k=8.
     stat, dof = _hiding_chi2_stat(8)
-    assert stat > chi2.ppf(1 - 0.001, dof)
+    assert chi2_sf(stat, dof) < 0.001
