@@ -6,10 +6,10 @@ clause asserting the output.  Clause counts per gate: AND/OR 3, NOT 2,
 XOR 4.  Satisfying assignments therefore project onto exactly the
 circuit's satisfying inputs.
 
-Every :class:`CNF` is validated when it is built: a negative variable
-count is refused; then each slice of ``SLICE`` clauses is flattened into
-one list (the only extra memory, ~100 KB) that C-level scans check; only
-on a fault does the per-clause loop run that names the first offender.
+A :class:`CNF` built from outside (``CNF(...)``, :func:`parse_dimacs`) is
+checked clause by clause and the first fault is named.  :func:`tseitin`
+instead checks its circuit gate by gate as it encodes it, and so builds
+its formula without rescanning the literals it made.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from itertools import chain
-
-SLICE = 4096  # clauses flattened per validation scan
 
 
 def gc_paused(fn):
@@ -48,20 +45,10 @@ class CNF:
     clauses: list[tuple[int, ...]]
 
     def __post_init__(self):
-        n, clauses = self.num_vars, self.clauses
+        n = self.num_vars
         if n < 0:
             raise ValueError("negative variable count")
-        # One flat list of a slice's literals at a time, three C-level scans
-        # each: ~100 KB, where a set of them all adds ~1 MB at 45k clauses.
-        if all(clauses):
-            for start in range(0, len(clauses), SLICE):
-                lits = list(chain.from_iterable(clauses[start:start + SLICE]))
-                if 0 in lits or not -n <= min(lits) <= max(lits) <= n:
-                    break
-                del lits  # freed before the next slice is flattened
-            else:
-                return
-        for clause in clauses:
+        for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
             if any(lit == 0 or abs(lit) > n for lit in clause):
@@ -69,32 +56,44 @@ class CNF:
 
 
 def tseitin(circuit) -> CNF:
-    """The CNF of a :class:`npshare.circuits.BooleanCircuit`, numbered as above."""
+    """The CNF of a :class:`npshare.circuits.BooleanCircuit`, numbered as above.
+
+    Raises ``ValueError`` on a malformed circuit: a negative input count, a
+    gate operand that is not an earlier wire, or an output that is no wire."""
+    n = circuit.n_inputs
+    if n < 0:
+        raise ValueError("negative input count")
     if isinstance(circuit.output, bool):
-        # Output folded to a constant: keep the input variables, encode
-        # unsatisfiability (if any) with a contradictory variable rather
-        # than an empty clause.
-        num_vars = max(circuit.n_inputs, 1)
-        clauses = [] if circuit.output else [(1,), (-1,)]
-        return CNF(num_vars, clauses)
+        # Output folded to a constant: keep the input variables; encode
+        # unsatisfiability as a contradictory variable, not an empty clause.
+        return CNF(max(n, 1), [] if circuit.output else [(1,), (-1,)])
     clauses: list[tuple[int, ...]] = []
     add = clauses.extend
-    for g, gate in enumerate(circuit.gates, circuit.n_inputs + 1):
+    for g, gate in enumerate(circuit.gates, n + 1):
         if len(gate) == 2:  # not
             a = gate[1] + 1
+            if not 0 < a < g:  # gate g, its 1-based variable, reads variables 1..g-1
+                raise ValueError(f"gate wire {g - 1} reads wire {a - 1}, not an earlier one")
             add(((g, a), (-g, -a)))
             continue
         op, a, b = gate
         a += 1
         b += 1
+        if not (0 < a < g and 0 < b < g):
+            raise ValueError(f"gate wire {g - 1} reads wires {a - 1}, {b - 1}, not both earlier")
         if op == "and":
             add(((-g, a), (-g, b), (g, -a, -b)))
         elif op == "or":
             add(((g, -a), (g, -b), (-g, a, b)))
         else:  # xor
             add(((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)))
+    num_vars = n + len(circuit.gates)
+    if not 0 <= circuit.output < num_vars:
+        raise ValueError(f"output {circuit.output} is not a wire")
     clauses.append((circuit.output + 1,))
-    return CNF(circuit.n_inputs + len(circuit.gates), clauses)
+    cnf = object.__new__(CNF)  # every literal is in range by the checks above: no rescan
+    cnf.num_vars, cnf.clauses = num_vars, clauses
+    return cnf
 
 
 def check_assignment(cnf: CNF, assignment) -> bool:

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from npshare import sat
-from npshare.circuits import Builder, compile_mprime, eval_circuit
-from npshare.cnf import CNF, SLICE, check_assignment, dimacs, parse_dimacs, tseitin
+from npshare.circuits import BooleanCircuit, Builder, compile_mprime, eval_circuit
+from npshare.cnf import CNF, check_assignment, dimacs, parse_dimacs, tseitin
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import MPrimeInstance, exhaustive_witness_search
 from npshare.rng import Stream, derive_seed
@@ -155,6 +155,42 @@ def test_tseitin_equals_reference_on_random_circuits():
         assert_same_encoding(circuit)
 
 
+@pytest.mark.parametrize(
+    "circuit,message",
+    [
+        (BooleanCircuit(2, [("and", 0, -3)], 2), "gate wire 2 reads wires 0, -3, not both earlier"),
+        (BooleanCircuit(2, [("and", 0, 3), ("not", 0)], 3),
+         "gate wire 2 reads wires 0, 3, not both earlier"),
+        (BooleanCircuit(2, [("and", 0, 2)], 2), "gate wire 2 reads wires 0, 2, not both earlier"),
+        (BooleanCircuit(2, [("and", 0, 1), ("not", 4)], 3), "gate wire 3 reads wire 4, not an earlier one"),
+        (BooleanCircuit(2, [("and", 0, 1)], -2), "output -2 is not a wire"),
+        (BooleanCircuit(2, [("and", 0, 1)], 3), "output 3 is not a wire"),
+        (BooleanCircuit(-1, [], False), "negative input count"),
+    ],
+    ids=["negative operand", "forward reference", "reads itself", "not reads ahead",
+         "output -2", "output past the last wire", "negative inputs"],
+)
+def test_tseitin_rejects_malformed_circuits(circuit, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tseitin(circuit)
+
+
+def test_tseitin_builds_its_cnf_without_the_literal_scan(monkeypatch):
+    calls = []
+    scan = CNF.__post_init__
+
+    def counted(self):
+        calls.append(len(self.clauses))
+        scan(self)
+
+    monkeypatch.setattr(CNF, "__post_init__", counted)
+    cnf = tseitin(honest_circuit(hamiltonian_structure(4)))
+    assert calls == [] and len(cnf.clauses) > 20_000
+    folded = next(folded_circuits())
+    assert folded.output is True
+    assert tseitin(folded).clauses == [] and calls == [0]
+
+
 # The share_cnf benchmark's circuit: (x1 & x2 & w) | (x3 & x4 & x5 & ~w).
 CIRCUIT5 = circuit_structure(
     MonotoneCircuit(
@@ -226,6 +262,9 @@ def test_cnf_validation_accepts_in_range_formulas():
         assert CNF(num_vars, clauses).clauses == clauses
 
 
+SLICE = 4096  # block edges where a chunked validator would first miss a fault
+
+
 def sliced_formula(num_vars=40):
     """A valid formula of two full validation slices and a partial third,
     using the extreme literals n and -n."""
@@ -274,8 +313,8 @@ def test_cnf_validation_names_fault_of_slice_1_before_slice_2(first, second):
 
 
 def test_cnf_validation_memory_stays_within_one_slice():
-    # A set of every literal costs ~1 MB on this formula; the sliced scans
-    # hold one slice's flat literal list at a time.
+    # A set of every literal costs ~1 MB on this formula; the per-clause
+    # loop holds no list of literals.
     cnf = tseitin(honest_circuit(hamiltonian_structure(5)))
     assert len(cnf.clauses) > 45_000
     tracemalloc.start()
