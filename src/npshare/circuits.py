@@ -154,8 +154,9 @@ class Builder:
     def stamp(self, gates, outputs, inputs) -> list:
         """Append a copy of ``gates``, built on a fresh ``Builder(len(inputs))``
         with output wires ``outputs``, over ``inputs``, which no gate may read
-        yet; returns the copy's outputs.  The copy is numbered, folded and
-        deduplicated exactly as if it had been built here gate by gate."""
+        yet; returns the copy's outputs, numbered as if built here gate by gate.
+        Only NOT gates are registered for reuse: no AND/OR/XOR gate of a PRG
+        template reads two wires its outputs name through NOT; reading them hits none."""
         base = self.n_inputs + len(self.gates)
         wire = list(inputs) + list(range(base, base + len(gates)))
         for w, gate in enumerate(gates, base):
@@ -165,9 +166,7 @@ class Builder:
                 self._cache["not", a, None] = w
                 self._neg[a], self._neg[w] = w, a
             else:
-                gate = (gate[0], wire[gate[1]], wire[gate[2]])
-                self.gates.append(gate)
-                self._cache[gate] = w
+                self.gates.append((gate[0], wire[gate[1]], wire[gate[2]]))
         return [w if isinstance(w, bool) else wire[w] for w in outputs]
 
     def finish(self, output, meta: CompileMeta | None = None) -> BooleanCircuit:
@@ -179,12 +178,6 @@ def eval_wires(circuit: BooleanCircuit, inputs) -> list[bool]:
     if len(inputs) != circuit.n_inputs:
         raise ValueError(f"expected {circuit.n_inputs} inputs")
     return eval_gates(circuit.gates, [bool(x) for x in inputs])
-
-
-def eval_circuit(circuit: BooleanCircuit, inputs) -> bool:
-    if isinstance(circuit.output, bool):
-        return circuit.output
-    return eval_wires(circuit, inputs)[circuit.output]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ seeded Monte-Carlo procedures:
 * :func:`mest` - the Chernoff-style bias estimator: ceil(4n/eps)
   iterations, each running dver once on fresh commitments to 1..n and
   once on fresh commitments to n+1..2n; answers 1 iff |q0 - q1| > n
-  (strictly).
+  (strictly).  At X's positions, which dver replaces, it draws but never commits.
 * :func:`dprime` - the outer distinguisher: up to ceil(n/eps) rounds of
   (sample, mest), answering with dver's verdict on the first round where
   mest fires, and 0 otherwise.
@@ -52,7 +52,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from . import serde
-from .commitments import CRS, find_opening
+from .commitments import CRS, commitment_list, find_opening
 from .rng import Stream, derive_seed
 from .scheme import SchemeContext, shares_of
 from .structures import AccessStructure, PartySet, evaluate
@@ -72,6 +72,7 @@ def qualified(structure: AccessStructure, X: PartySet) -> bool:
 def dver(commitments, s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext,
          D, rng: Stream, sigma: bytes = b"") -> int:
     """One distinguishing trial; 1 iff D recovers the encrypted index b.
+    ``commitments`` is read outside X only (None may stand at X's positions).
 
     Draw order is pinned: b, then ``scheme.deal``'s draws, then D's."""
     b = rng.bit()
@@ -83,27 +84,30 @@ def mest_iterations(eps: float, n: int) -> int:
     return math.ceil(4 * n / eps)
 
 
+def _side_values(n: int, X: PartySet) -> tuple[list, ...]:
+    """A0's 1..n and A1's n+1..2n, None (drawn, not committed) at X's positions."""
+    return tuple([None if i in X else i + base for i in range(1, n + 1)] for base in (0, n))
+
+
 def mest(s0: bytes, s1: bytes, X: PartySet, eps: float, n: int,
          scheme: SchemeContext, D, rng: Stream, sigma: bytes = b"") -> int:
-    """Bias estimator: 1 iff |q0 - q1| > n strictly after ceil(4n/eps) rounds."""
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if n != scheme.n:
-        raise ValueError("n disagrees with the scheme context")
+    """Bias estimator: 1 iff |q0 - q1| > n strictly after ceil(4n/eps) rounds.
+    Each round's lists draw an opening per party but commit outside X only."""
+    if not 0 < eps <= 1 or n != scheme.n:
+        raise ValueError(f"need eps in (0, 1] and n = {scheme.n}, got {eps} and {n}")
+    a0, a1 = _side_values(n, X)
     q0 = q1 = 0
     for _ in range(mest_iterations(eps, n)):
-        q0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
-        q1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng, sigma)
+        q0 += dver(commitment_list(a0, scheme.crs, rng), s0, s1, X, scheme, D, rng, sigma)
+        q1 += dver(commitment_list(a1, scheme.crs, rng), s0, s1, X, scheme, D, rng, sigma)
     return 1 if abs(q0 - q1) > n else 0
 
 
 def dprime(commitments, eps: float, n: int, sampler, D,
            scheme: SchemeContext, rng: Stream) -> int:
     """The outer commitment-list distinguisher of the reduction."""
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if n != scheme.n:
-        raise ValueError("n disagrees with the scheme context")
+    if not 0 < eps <= 1 or n != scheme.n:
+        raise ValueError(f"need eps in (0, 1] and n = {scheme.n}, got {eps} and {n}")
     for _ in range(math.ceil(n / eps)):
         s0, s1, X, sigma = sampler(rng)
         if mest(s0, s1, X, eps, n, scheme, D, rng, sigma) == 1:
@@ -165,14 +169,16 @@ def _report(game: str, trials: int, count0: int, count1: int, delta: float,
 
 def bias_estimate(s0: bytes, s1: bytes, X: PartySet, scheme: SchemeContext, D,
                   trials: int, master_seed: int, delta: float = 0.01) -> GameReport:
-    """Monte-Carlo estimate of dver's advantage for recognizing Z = A0."""
+    """Monte-Carlo estimate of dver's advantage for recognizing Z = A0; like
+    mest, each trial's lists draw an opening per party, commit outside X."""
     if trials < 100:
         raise ValueError("bias estimation needs at least 100 trials")
+    a0, a1 = _side_values(scheme.n, X)
     count0 = count1 = 0
     for t in range(trials):
         rng = Stream(derive_seed(master_seed, t))
-        count0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng)
-        count1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng)
+        count0 += dver(commitment_list(a0, scheme.crs, rng), s0, s1, X, scheme, D, rng)
+        count1 += dver(commitment_list(a1, scheme.crs, rng), s0, s1, X, scheme, D, rng)
     return _report("bias", trials, count0, count1, delta, master_seed)
 
 

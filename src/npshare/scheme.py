@@ -123,14 +123,16 @@ class SchemeContext:
         1..n (one ``rng.bits(ell * k)`` each), then the encryption
         randomness; party i is committed to i.  Given input ``commitments``
         and ``X`` (read only with them), a party outside X keeps its input
-        commitment and gets no share, and its opening's draw is dropped."""
+        commitment and gets no share, and its opening's draw is dropped; the
+        input commitment of a member of X is never read."""
         if not secret:
             raise ValueError("secret must be non-empty")
         n, crs = self.n, self.crs
         if commitments is None:
             commitments, X = (None,) * n, PartySet.full(n)
-        if len(commitments) != n:
-            raise ValueError(f"expected {n} input commitments")
+        if len(commitments) != n or X.n != n:
+            raise ValueError(f"expected {n} input commitments and a party set over {n}"
+                             f" parties, got {len(commitments)} and {X.n}")
         members, openings = X.members, {}
         fresh = commitment_list([i if i in members else None for i in range(1, n + 1)],
                                 crs, rng, openings)

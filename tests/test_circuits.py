@@ -5,14 +5,15 @@ import gc
 import pytest
 
 from npshare.circuits import (
+    COMPILE_MAX_K,
     BooleanCircuit,
     Builder,
     CnfMPrimeRelation,
     CompileMeta,
+    _prg_template,
     compile_mprime,
     decode_witness,
     encode_inner,
-    eval_circuit,
     eval_wires,
     inner_witness_width,
     lift_witness,
@@ -65,7 +66,7 @@ CIRCUIT5 = circuit_structure(
 )
 
 
-@pytest.mark.parametrize("k", [4, 5, 6, 8])
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize(
     "structure",
     [threshold_structure(6, 2), CIRCUIT5, hamiltonian_structure(4),
@@ -89,17 +90,50 @@ def test_stamped_prg_copies_equal_gate_by_gate_build(structure, k, monkeypatch):
 
 @pytest.mark.parametrize("k", [4, 7])
 def test_stamp_leaves_builder_as_gate_by_gate_build(k):
+    """The stamped builder holds the gate-by-gate build's gates and negations,
+    and its dedup table less exactly the copies' AND/OR/XOR keys, which no
+    later lookup over the copies' outputs can hit (see the next test)."""
     template = Builder(k)
     outs = toy_prg_wires(template, list(range(k)), k)
     stamped, built = Builder(3 * k), Builder(3 * k)
     for bd in (stamped, built):
         bd.not_(bd.and_(0, 1))  # gates before the copies
+    first_copy_gate = len(built.gates)
     for copy in (1, 2):
         inputs = range(copy * k, (copy + 1) * k)
         assert stamped.stamp(template.gates, outs, inputs) == toy_prg_wires(built, list(inputs), k)
     assert stamped.gates == built.gates
-    assert stamped._cache == built._cache
     assert stamped._neg == built._neg
+    copy_keys = {gate for gate in built.gates[first_copy_gate:] if gate[0] != "not"}
+    assert copy_keys and copy_keys <= built._cache.keys()
+    assert stamped._cache == {key: w for key, w in built._cache.items() if key not in copy_keys}
+
+
+def nameable_wires(gates, outputs, n_inputs):
+    """The wires a holder of ``outputs`` can name: the outputs and their
+    closure through the NOT gates (``Builder.not_`` answers either way)."""
+    neg = {}
+    for w, gate in enumerate(gates, n_inputs):
+        if gate[0] == "not":
+            neg[w], neg[gate[1]] = gate[1], w
+    named = {w for w in outputs if not isinstance(w, bool)}
+    frontier = set(named)
+    while frontier:
+        frontier = {neg[w] for w in frontier if w in neg} - named
+        named |= frontier
+    return named
+
+
+@pytest.mark.parametrize("k", range(4, COMPILE_MAX_K + 1))
+def test_prg_template_binary_gates_read_no_two_nameable_wires(k):
+    """Why ``Builder.stamp`` may skip registering a copy's AND/OR/XOR gates:
+    none reads two wires nameable from the copy's outputs, so no ``and_``,
+    ``or_`` or ``xor`` over the outputs and their negations can hit one."""
+    gates, outs = _prg_template(k)
+    named = nameable_wires(gates, outs, k)
+    assert named - set(outs) == ({18} if k == 4 else set())  # 18 = not 8 at k = 4
+    assert not [(w, gate) for w, gate in enumerate(gates, k)
+                if gate[0] != "not" and gate[1] in named and gate[2] in named]
 
 
 def test_builder_constant_folding():
@@ -149,7 +183,7 @@ def test_compiled_circuit_accepts_honest_witness(structure):
         inner=inner,
     )
     assert mprime_verify(inst, wit) is True
-    assert eval_circuit(circuit, lift_witness(circuit, wit)) is True
+    assert eval_wires(circuit, lift_witness(circuit, wit))[circuit.output] is True
 
 
 def test_all_zero_inputs_reject():
@@ -157,7 +191,7 @@ def test_all_zero_inputs_reject():
     for structure in STRUCTURES:
         inst, _ = toy_instance(structure, 200 + structure.n)
         circuit = compile_mprime(inst)
-        assert eval_circuit(circuit, [False] * circuit.n_inputs) is False
+        assert eval_wires(circuit, [False] * circuit.n_inputs)[circuit.output] is False
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.kind)
@@ -171,7 +205,7 @@ def test_circuit_equals_verifier_on_random_inputs(structure):
         rng = Stream(derive_seed(0x51AC + structure.n, trial))
         inputs = [bool(rng.bit()) for _ in range(circuit.n_inputs)]
         wit = decode_witness(circuit, inputs)
-        assert eval_circuit(circuit, inputs) == mprime_verify(inst, wit)
+        assert eval_wires(circuit, inputs)[circuit.output] == mprime_verify(inst, wit)
         agree += 1
     assert agree == 500
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from npshare import sat
-from npshare.circuits import BooleanCircuit, Builder, compile_mprime, eval_circuit
+from npshare.circuits import BooleanCircuit, Builder, compile_mprime, eval_wires
 from npshare.cnf import CNF, check_assignment, dimacs, parse_dimacs, tseitin
 from npshare.commitments import commit, crs_gen, sample_opening
 from npshare.induced import MPrimeInstance, exhaustive_witness_search
@@ -84,7 +84,7 @@ def test_tseitin_models_project_to_circuit_inputs():
         accepted = set()
         for packed in range(1 << circuit.n_inputs):
             inputs = [(packed >> i) & 1 for i in range(circuit.n_inputs)]
-            if eval_circuit(circuit, inputs):
+            if eval_wires(circuit, inputs)[circuit.output]:
                 accepted.add(packed)
         projected = set()
         if cnf.num_vars <= 20:
@@ -386,15 +386,16 @@ def test_cdcl_agrees_with_circuit_enumeration():
         if isinstance(circuit.output, bool):
             continue
         cnf = tseitin(circuit)
+        n_in = circuit.n_inputs
         sat_inputs = any(
-            eval_circuit(circuit, [(packed >> i) & 1 for i in range(circuit.n_inputs)])
-            for packed in range(1 << circuit.n_inputs)
+            eval_wires(circuit, [(packed >> i) & 1 for i in range(n_in)])[circuit.output]
+            for packed in range(1 << n_in)
         )
         result = solve_cnf(cnf, max_conflicts=200_000)
         assert (result is not None) == sat_inputs
         if result is not None:
             assert check_assignment(cnf, result)
-            assert eval_circuit(circuit, result[: circuit.n_inputs])
+            assert eval_wires(circuit, result[: circuit.n_inputs])[circuit.output]
 
 
 def pigeonhole(holes):

@@ -319,6 +319,114 @@ def test_mest_with_leak_reader_renders_no_envelope(leaky6, monkeypatch):
     assert "sha" in calls and "bytes" in calls  # reading the envelope renders both
 
 
+def counting_stream():
+    """A Stream subclass and the list of words all its instances hand out."""
+    words = []
+
+    class CountingStream(Stream):
+        def next64(self):
+            words.append(super().next64())
+            return words[-1]
+
+    return CountingStream, words
+
+
+def reference_mest(s0, s1, X, eps, n, scheme, D, rng):
+    """mest over whole A0 and A1 lists every round, X's positions committed
+    too.  Returns (q0, q1, verdict)."""
+    q0 = q1 = 0
+    for _ in range(mest_iterations(eps, n)):
+        q0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng)
+        q1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng)
+    return q0, q1, 1 if abs(q0 - q1) > n else 0
+
+
+def reference_bias(s0, s1, X, scheme, D, trials, master_seed, stream):
+    count0 = count1 = 0
+    for t in range(trials):
+        rng = stream(derive_seed(master_seed, t))
+        count0 += dver(scheme.a0_commitments(rng), s0, s1, X, scheme, D, rng)
+        count1 += dver(scheme.a1_commitments(rng), s0, s1, X, scheme, D, rng)
+    return harness._report("bias", trials, count0, count1, 0.01, master_seed)
+
+
+def instance_reader(s0, s1, shares, sigma, rng):
+    """Answers with the parity of the dealt instance's digest, which reads
+    every commitment in it, masked by one word of D's own draws."""
+    inst = we.load_relation(shares[0].ciphertext).instance
+    return (int(inst.digest(), 16) ^ rng.bit()) & 1
+
+
+MEST_CASES = [
+    (threshold_structure(6, 2), set(range(1, 7))),
+    (threshold_structure(6, 2), {4}),
+    (threshold_structure(6, 3), {2, 5}),
+    (hamiltonian_structure(4), {1, 2, 6}),
+]
+
+
+@pytest.mark.parametrize("D", [leak_reader(), instance_reader], ids=["leak", "instance"])
+@pytest.mark.parametrize("structure, members", MEST_CASES,
+                         ids=["t62-full", "t62-single", "t63-pair", "ham4"])
+def test_mest_and_bias_estimate_equal_whole_list_reference(structure, members, D, monkeypatch):
+    """Committing only outside X changes no answer, report or draw: mest's
+    q0, q1 and verdict, and bias_estimate's report, equal a reference over
+    ``a0_commitments``/``a1_commitments``, word for word."""
+    ctx = SchemeContext.create(structure, seed=0xBEE, backend="leaky")
+    X, n = PartySet.of(structure.n, members), structure.n
+    stream, words = counting_stream()
+    ref_rng = stream(0x3E57)
+    expected = reference_mest(S0, S1, X, 1.0, n, ctx, D, ref_rng)
+    ref_words = list(words)
+    words.clear()
+    dvers = []
+    monkeypatch.setattr(harness, "dver", lambda *a: dvers.append(dver(*a)) or dvers[-1])
+    rng = stream(0x3E57)
+    verdict = mest(S0, S1, X, 1.0, n, ctx, D, rng)
+    assert (sum(dvers[0::2]), sum(dvers[1::2]), verdict) == expected
+    assert words == ref_words and rng.state == ref_rng.state
+
+    monkeypatch.setattr(harness, "Stream", stream)
+    words.clear()
+    report = bias_estimate(S0, S1, X, ctx, D, 100, master_seed=0xB1A5)
+    bias_words = list(words)
+    words.clear()
+    reference = reference_bias(S0, S1, X, ctx, D, 100, 0xB1A5, stream)
+    assert report == reference
+    assert serde.canonical_json_bytes(report.to_json()) == \
+        serde.canonical_json_bytes(reference.to_json())
+    assert bias_words == words
+
+
+@pytest.mark.parametrize("members", [{1}, {2, 5}, set(range(1, 7))])
+def test_deal_never_reads_an_input_commitment_at_x(leaky6, members):
+    """A sentinel at each of X's positions in the input list gives the same
+    instance and shares: ``SchemeContext.deal`` reads commitments outside X only."""
+    X = PartySet.of(6, members)
+    for t in range(6):
+        coms = (leaky6.a0_commitments, leaky6.a1_commitments)[t % 2](Stream(derive_seed(0x5E, t)))
+        held = tuple(object() if i in X else com for i, com in enumerate(coms, 1))
+        dealing, with_sentinels = (leaky6.deal(S1, Stream(t), given, X) for given in (coms, held))
+        assert dealing.public == with_sentinels.public
+        assert [s.to_json() for s in dealing.shares] == \
+            [s.to_json() for s in with_sentinels.shares]
+
+
+def test_party_set_over_another_count_is_refused(leaky6):
+    """A party set over 9 parties names no party of a 6-party context: deal,
+    and through it dver, mest and bias_estimate, refuse it instead of dealing
+    no share and scoring the trial."""
+    X, coms = PartySet.of(9, {7, 8}), leaky6.a0_commitments(Stream(1))
+    with pytest.raises(ValueError, match="over 6 parties, got 6 and 9"):
+        leaky6.deal(S1, Stream(2), coms, X)
+    with pytest.raises(ValueError, match="over 6 parties, got 6 and 9"):
+        dver(coms, S0, S1, X, leaky6, leak_reader(), Stream(3))
+    with pytest.raises(ValueError, match="over 6 parties, got 6 and 9"):
+        mest(S0, S1, X, 0.3, 6, leaky6, leak_reader(), Stream(4))
+    with pytest.raises(ValueError, match="over 6 parties, got 6 and 9"):
+        bias_estimate(S0, S1, X, leaky6, leak_reader(), 100, master_seed=5)
+
+
 def test_mest_boundary_exact_n_is_zero():
     # Engineer |q0 - q1| == n exactly: a stateful distinguisher that is
     # right on the first n A0-branch calls and wrong everywhere else.
