@@ -21,7 +21,7 @@ dealing = setup(ham, b"reduced", Stream(8), backend="cnf", k=8)
 inst = dealing.public
 circuit = compile_mprime(inst)
 cnf = tseitin(circuit)
-print(f"inputs: {circuit.n_inputs} (seeds + presence flags + witness bits)")
+print(f"inputs: {circuit.n_inputs} (witness bits + presence flags + seeds)")
 print(f"gates:  {len(circuit.gates)}  ->  CNF: {cnf.num_vars} vars, {len(cnf.clauses)} clauses")
 print("DIMACS preview:", " / ".join(dimacs(cnf).splitlines()[:3]), "...")
 

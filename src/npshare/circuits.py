@@ -1,10 +1,12 @@
 """Compilation of the induced-language verifier into a Boolean circuit.
 
-The compiled circuit takes, in order, the opening bits of every
-position (one run of ell*k bits per position, low bit first, so block
-j's seed sits at j*k as in ``Opening.bits``), one presence flag per
-position (the flag encodes the absent opening: the characteristic bit is
-``flag AND commitment-match``), and the inner-witness bits.  Commitment
+The compiled circuit takes, in order, the inner-witness bits, one
+presence flag per position (the flag encodes the absent opening: the
+characteristic bit is ``flag AND commitment-match``), and the opening
+bits of every position (one run of ell*k bits per position, low bit
+first, so block j's seed sits at j*k as in ``Opening.bits``).  The
+solver's first decisions follow input order, so it settles the inner
+witness and the present parties before it searches seeds.  Commitment
 checks are realized as a bit-level PRG-expansion sub-circuit compared
 against the instance's constant commitment bits, with ``CRS.value_masks``
 folded into the comparison constants.  The PRG sub-circuit is built
@@ -61,7 +63,7 @@ class CompileMeta:
     x_wires: tuple = ()
 
     def seed_offset(self, party: int, block: int) -> int:
-        return ((party - 1) * self.ell + block) * self.k
+        return self.flags_offset + self.n + ((party - 1) * self.ell + block) * self.k
 
 
 @dataclass
@@ -81,23 +83,24 @@ class Builder:
         self._cache: dict = {}
         self._neg: dict[int, int] = {}
 
-    def _emit(self, op: str, a: int, b: int | None = None) -> int:
+    def _emit(self, op: str, a: int, b: int) -> int:
         key = (op, a, b)
         wire = self._cache.get(key)
         if wire is None:
             wire = self.n_inputs + len(self.gates)
-            self.gates.append((op, a) if b is None else (op, a, b))
+            self.gates.append(key)
             self._cache[key] = wire
         return wire
 
     def not_(self, a):
+        """NOT gates are deduplicated by ``_neg`` alone, never by ``_cache``."""
         if isinstance(a, bool):
             return not a
         wire = self._neg.get(a)
         if wire is None:
-            wire = self._emit("not", a)
-            self._neg[a] = wire
-            self._neg[wire] = a
+            wire = self.n_inputs + len(self.gates)
+            self.gates.append(("not", a))
+            self._neg[a], self._neg[wire] = wire, a
         return wire
 
     def and_(self, a, b):
@@ -155,15 +158,14 @@ class Builder:
         """Append a copy of ``gates``, built on a fresh ``Builder(len(inputs))``
         with output wires ``outputs``, over ``inputs``, which no gate may read
         yet; returns the copy's outputs, numbered as if built here gate by gate.
-        Only NOT gates are registered for reuse: no AND/OR/XOR gate of a PRG
-        template reads two wires its outputs name through NOT; reading them hits none."""
+        Only NOT gates are registered for reuse, in ``_neg``: no AND/OR/XOR gate
+        of a PRG template reads two wires its outputs name through NOT."""
         base = self.n_inputs + len(self.gates)
         wire = list(inputs) + list(range(base, base + len(gates)))
         for w, gate in enumerate(gates, base):
             if gate[0] == "not":
                 a = wire[gate[1]]
                 self.gates.append(("not", a))
-                self._cache["not", a, None] = w
                 self._neg[a], self._neg[w] = w, a
             else:
                 self.gates.append((gate[0], wire[gate[1]], wire[gate[2]]))
@@ -391,20 +393,17 @@ def check_compilable(inst: MPrimeInstance) -> None:
 def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
     """Circuit accepting exactly the witnesses of ``mprime_verify``.
 
-    Inputs: each position's ``Opening.bits`` (ell*k bits, low bit first),
-    then n presence flags, then the inner-witness bits.
+    Inputs: the inner-witness bits, then n presence flags, then each
+    position's ``Opening.bits`` (ell*k bits, low bit first).  The solver
+    decides in input order, so it settles the predicate's inputs first.
     """
     check_compilable(inst)
     crs, structure = inst.crs, inst.structure
     n, ell, k = inst.n, crs.ell, crs.k
     inner_len = inner_witness_width(structure)
-    meta = CompileMeta(
-        n=n, ell=ell, k=k, structure=structure,
-        flags_offset=n * ell * k,
-        inner_offset=n * ell * k + n,
-        inner_len=inner_len,
-    )
-    bd = Builder(meta.inner_offset + inner_len)
+    meta = CompileMeta(n=n, ell=ell, k=k, structure=structure,
+                       flags_offset=inner_len, inner_offset=0, inner_len=inner_len)
+    bd = Builder(meta.seed_offset(n + 1, 0))
 
     block_mask = (1 << crs.block_bits) - 1
     prg_gates, prg_outs = _prg_template(k)

@@ -237,8 +237,9 @@ def test_witness_lift_round_trip_packed_layout(k, n):
     crs = crs_gen(n, k, Stream(k), expansion="toy")
     width = crs.ell * k
     meta = CompileMeta(n=n, ell=crs.ell, k=k, structure=threshold_structure(n, 1),
-                       flags_offset=n * width, inner_offset=n * width + n, inner_len=0)
-    circuit = BooleanCircuit(n_inputs=meta.inner_offset, gates=[], output=False, meta=meta)
+                       flags_offset=0, inner_offset=0, inner_len=0)
+    circuit = BooleanCircuit(n_inputs=meta.seed_offset(n + 1, 0), gates=[], output=False,
+                             meta=meta)
     rng = Stream(n)
     openings = tuple(sample_opening(crs, rng) if i % 2 else None for i in range(1, n + 1))
     wit = MPrimeWitness(openings=openings, inner=None)
@@ -251,6 +252,47 @@ def test_witness_lift_round_trip_packed_layout(k, n):
     for bad in (-1, 1 << width):
         lifted = lift_witness(circuit, MPrimeWitness((Opening(bad),) + openings[1:], None))
         assert lifted == lift_witness(circuit, MPrimeWitness((None,) + openings[1:], None))
+
+
+# A valid inner witness of each of STRUCTURES, by kind.
+INNER = {"threshold": None, "hamiltonian": (1, 2, 3, 4), "matching": ((1, 2), (3, 4)),
+         "monotone-circuit": (1,)}
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.kind)
+def test_compiled_inputs_are_inner_bits_then_flags_then_openings(structure):
+    """The solver decides in input order, so the predicate's inputs come first:
+    the inner-witness bits at 0, the n presence flags at inner_len, then
+    position i's run of ell*k opening bits at seed_offset(i, 0)."""
+    inst, openings = toy_instance(structure, 600 + structure.n)
+    circuit = compile_mprime(inst)
+    meta, n = circuit.meta, structure.n
+    inner_len, width = inner_witness_width(structure), meta.ell * meta.k
+    assert (meta.inner_offset, meta.inner_len, meta.flags_offset) == (0, inner_len, inner_len)
+    assert [meta.seed_offset(i, 0) for i in range(1, n + 2)] == [
+        inner_len + n + (i - 1) * width for i in range(1, n + 2)]
+    assert circuit.n_inputs == inner_len + n + n * width
+    present = tuple(op if i % 2 else None for i, op in enumerate(openings, start=1))
+    inner = INNER[structure.kind]
+    inputs = lift_witness(circuit, MPrimeWitness(openings=present, inner=inner))
+    assert inputs[:inner_len] == encode_inner(structure, inner)
+    assert inputs[inner_len:inner_len + n] == [op is not None for op in present]
+    for i, op in enumerate(present, start=1):
+        run = inputs[meta.seed_offset(i, 0):meta.seed_offset(i, 0) + width]
+        assert sum(bit << t for t, bit in enumerate(run)) == (0 if op is None else op.bits)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.kind)
+def test_compile_files_no_not_key_in_the_dedup_table(structure, monkeypatch):
+    """NOT gates are found through ``_neg`` only, so ``_cache`` holds no NOT key."""
+    builders = []
+    finish = Builder.finish
+    monkeypatch.setattr(Builder, "finish",
+                        lambda bd, *args: builders.append(bd) or finish(bd, *args))
+    circuit = compile_mprime(toy_instance(structure, 700 + structure.n)[0])
+    [bd] = builders
+    assert any(gate[0] == "not" for gate in circuit.gates)
+    assert [key for key in bd._cache if key[0] == "not"] == []
 
 
 def test_lifted_witness_satisfies_cnf_iff_valid():

@@ -205,12 +205,12 @@ CIRCUIT5 = circuit_structure(
 # of each structure (every party commits to its own index), recorded with
 # the per-gate encoder above.
 COMPILED_DIMACS_SHA256 = [
-    (threshold_structure(6, 2), "65b749118ba4343a367c1c772de873aaa5a16b3b49d7694246edaad5a26bd4d2"),
-    (CIRCUIT5, "f674e10339589b7f624eb088dee4e6a6c36deb92526c19679b66d82fe1b5b7fa"),
-    (hamiltonian_structure(4), "70aaddc80965cbfc3812a8331e2ee68a7ffa2b331da2cef8a1348fa9451acfb6"),
-    (hamiltonian_structure(5), "3556c29d7b085d412811843c3137dad768bd28f73c0561118fd4075042aaaee8"),
-    (matching_structure(4), "67d665e7af1fca39b224bbe5152a42bba402a855993284fba075e43b3a99f206"),
-    (threshold_structure(6, 3), "90d3c16bed4ec226ce0220551e6fae7aa6c1bb9bc7f7422f0b5ae531e511afef"),
+    (threshold_structure(6, 2), "8f527929d05915c881f0e5b9be8b244fdbb561ccafa6f15084c1872ae51a3bfb"),
+    (CIRCUIT5, "776477e803e6c9405df3048c1c38a6bfb7d6b4364ef66db648ee88e57d3704cd"),
+    (hamiltonian_structure(4), "98fccab343756ab326bb14081d0418bf76d70043984532d390d228d4982a88ff"),
+    (hamiltonian_structure(5), "8294de6e3dcedd55f42e02b46825a684fa0adf048fbd237b7b61f136ca4d3223"),
+    (matching_structure(4), "0d75daf5117ac580922d6badde0ac4c58c9556a0397da367f4d941c9987f8f05"),
+    (threshold_structure(6, 3), "8d82323cf7af70c32ee9f99c86944588d0c9e2efc119e8e24d10989d87292069"),
 ]
 
 
@@ -533,7 +533,7 @@ def trajectory_corpus():
 # SHA-256 over the solver's answers on trajectory_corpus().  It pins the
 # search itself: a change to decisions, propagation order, learning or
 # restarts shows up as a different first satisfying assignment.
-TRAJECTORY_SHA256 = "cd69df5a65d5deab3595bc280154f6687248eafaf09a8543b2c4de4bdef971f8"
+TRAJECTORY_SHA256 = "6b169b8237fbca86e563fd627b43c2a7002a188184531756982e3bade7eb15d8"
 
 
 def test_solve_cnf_search_trajectory_is_golden():
