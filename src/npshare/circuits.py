@@ -25,10 +25,10 @@ for this pipeline must use CRSs with ``expansion="toy"``.
 
 Gates are AND/OR/NOT/XOR over earlier wires; the builder constant-folds
 and deduplicates structurally, so instance constants never appear as
-wires.  The characteristic wires (the structure sub-circuit's standard
-inputs) are recorded in the compile metadata; everything downstream of
-them is monotone except through the inner-witness side, mirroring the
-non-deterministic circuit model.
+wires.  The circuit keeps its instance, whose layout lifting and decoding
+read, and its characteristic wires (the structure sub-circuit's standard
+inputs); everything downstream of them is monotone except through the
+inner-witness side, mirroring the non-deterministic circuit model.
 """
 
 from __future__ import annotations
@@ -52,26 +52,12 @@ from .structures import (
 
 
 @dataclass
-class CompileMeta:
-    n: int
-    ell: int
-    k: int
-    structure: AccessStructure
-    flags_offset: int
-    inner_offset: int
-    inner_len: int
-    x_wires: tuple = ()
-
-    def seed_offset(self, party: int, block: int) -> int:
-        return self.flags_offset + self.n + ((party - 1) * self.ell + block) * self.k
-
-
-@dataclass
 class BooleanCircuit:
     n_inputs: int
     gates: list[tuple]
     output: "int | bool"
-    meta: CompileMeta | None = field(default=None, repr=False)
+    instance: MPrimeInstance | None = field(default=None, repr=False)
+    x_wires: tuple = ()
 
 
 class Builder:
@@ -171,8 +157,8 @@ class Builder:
                 self.gates.append((gate[0], wire[gate[1]], wire[gate[2]]))
         return [w if isinstance(w, bool) else wire[w] for w in outputs]
 
-    def finish(self, output, meta: CompileMeta | None = None) -> BooleanCircuit:
-        return BooleanCircuit(self.n_inputs, self.gates, output, meta)
+    def finish(self, output, instance: MPrimeInstance | None = None, x_wires=()) -> BooleanCircuit:
+        return BooleanCircuit(self.n_inputs, self.gates, output, instance, tuple(x_wires))
 
 
 def eval_wires(circuit: BooleanCircuit, inputs) -> list[bool]:
@@ -399,11 +385,9 @@ def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
     """
     check_compilable(inst)
     crs, structure = inst.crs, inst.structure
-    n, ell, k = inst.n, crs.ell, crs.k
-    inner_len = inner_witness_width(structure)
-    meta = CompileMeta(n=n, ell=ell, k=k, structure=structure,
-                       flags_offset=inner_len, inner_offset=0, inner_len=inner_len)
-    bd = Builder(meta.seed_offset(n + 1, 0))
+    n, k = inst.n, crs.k
+    inner_len, width = inner_witness_width(structure), crs.ell * k
+    bd = Builder(inner_len + n + n * width)
 
     block_mask = (1 << crs.block_bits) - 1
     prg_gates, prg_outs = _prg_template(k)
@@ -411,16 +395,14 @@ def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
     for i in range(1, n + 1):
         targets = inst.commitments[i - 1].bits ^ crs.value_masks[i]
         block_eqs = []
-        for j in range(ell):
-            offset = meta.seed_offset(i, j)
+        run = inner_len + n + (i - 1) * width
+        for offset in range(run, run + width, k):
             prg_out = bd.stamp(prg_gates, prg_outs, range(offset, offset + k))
             block_eqs.append(_equals_const(bd, prg_out, targets & block_mask))
             targets >>= crs.block_bits
-        flag = meta.flags_offset + (i - 1)
-        x_wires.append(bd.and_(flag, bd.and_all(block_eqs)))
-    meta.x_wires = tuple(x_wires)
+        x_wires.append(bd.and_(inner_len + i - 1, bd.and_all(block_eqs)))
 
-    inner_wires = [meta.inner_offset + t for t in range(inner_len)]
+    inner_wires = range(inner_len)
     if structure.kind == "threshold":
         out = _geq_const(bd, _popcount(bd, x_wires), structure.payload)
     elif structure.kind == "monotone-circuit":
@@ -429,47 +411,35 @@ def compile_mprime(inst: MPrimeInstance) -> BooleanCircuit:
         out = _hamiltonian_predicate(bd, structure.payload, x_wires, inner_wires)
     else:
         out = _matching_predicate(bd, structure.payload, x_wires, inner_wires)
-    return bd.finish(out, meta)
+    return bd.finish(out, inst, x_wires)
 
 
 def lift_witness(circuit: BooleanCircuit, wit: MPrimeWitness) -> list[bool]:
     """Map an induced-language witness to circuit inputs (Levin direction)."""
-    meta = circuit.meta
-    inputs = [False] * circuit.n_inputs
-    if len(wit.openings) != meta.n:
-        raise ValueError(f"expected {meta.n} openings")
-    width = meta.ell * meta.k
-    for i, opening in enumerate(wit.openings, start=1):
-        if opening is None or opening.bits < 0 or opening.bits >> width:
-            continue  # an opening outside [0, 2^(ell*k)) opens nothing, as in commit
-        inputs[meta.flags_offset + (i - 1)] = True
-        base = meta.seed_offset(i, 0)
-        for bit in range(width):
-            inputs[base + bit] = bool((opening.bits >> bit) & 1)
-    for t, b in enumerate(encode_inner(meta.structure, wit.inner)):
-        inputs[meta.inner_offset + t] = b
-    return inputs
+    inst = circuit.instance
+    if len(wit.openings) != inst.n:
+        raise ValueError(f"expected {inst.n} openings")
+    width = inst.crs.ell * inst.crs.k
+    # an opening outside [0, 2^(ell*k)) opens nothing, as in commit
+    flags = [op is not None and 0 <= op.bits < 1 << width for op in wit.openings]
+    runs = [False] * (inst.n * width)
+    for i, op in enumerate(wit.openings):
+        if flags[i]:
+            runs[i * width:(i + 1) * width] = [bool(op.bits >> bit & 1) for bit in range(width)]
+    return encode_inner(inst.structure, wit.inner) + flags + runs
 
 
 def decode_witness(circuit: BooleanCircuit, assignment) -> MPrimeWitness:
     """Inverse of the lifting map (gate variables ignored)."""
-    meta = circuit.meta
+    inst = circuit.instance
+    inner_len, width = inner_witness_width(inst.structure), inst.crs.ell * inst.crs.k
     openings = []
-    for i in range(1, meta.n + 1):
-        if not assignment[meta.flags_offset + (i - 1)]:
-            openings.append(None)
-            continue
-        base, bits = meta.seed_offset(i, 0), 0
-        for bit in range(meta.ell * meta.k):
-            if assignment[base + bit]:
-                bits |= 1 << bit
-        openings.append(Opening(bits))
-    inner_bits = [
-        bool(assignment[meta.inner_offset + t]) for t in range(meta.inner_len)
-    ]
-    return MPrimeWitness(
-        openings=tuple(openings), inner=decode_inner(meta.structure, inner_bits)
-    )
+    for i in range(inst.n):
+        base = inner_len + inst.n + i * width
+        bits = sum(1 << bit for bit in range(width) if assignment[base + bit])
+        openings.append(Opening(bits) if assignment[inner_len + i] else None)
+    inner_bits = [bool(assignment[t]) for t in range(inner_len)]
+    return MPrimeWitness(openings=tuple(openings), inner=decode_inner(inst.structure, inner_bits))
 
 
 class CnfMPrimeRelation(MPrimeRelation):

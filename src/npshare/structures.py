@@ -137,7 +137,7 @@ class MonotoneCircuit:
         if min(self.n_std, self.n_free) < 0:
             raise ValueError("input counts must be non-negative")
         n_in = self.n_std + self.n_free
-        tainted = [True] * self.n_std + [False] * self.n_free
+        tainted = []  # per gate: on a path from a standard input (wires below n_std are)
         for idx, gate in enumerate(self.gates):
             op = gate[0] if gate else None
             refs = gate[1:]
@@ -145,7 +145,7 @@ class MonotoneCircuit:
                 raise ValueError(f"bad gate {gate!r}")
             if any(type(r) is not int or not 0 <= r < n_in + idx for r in refs):
                 raise ValueError(f"gate {idx} references an undefined wire")
-            taint = any(tainted[r] for r in refs)
+            taint = any(r < self.n_std or r >= n_in and tainted[r - n_in] for r in refs)
             if op == "not" and taint:
                 raise ValueError("negation on a path from a standard input")
             tainted.append(taint)
@@ -364,6 +364,9 @@ def _members(packed: int) -> frozenset[int]:
     return frozenset(i for i, bit in enumerate(bin(packed)[:1:-1], 1) if bit == "1")
 
 
+SAMPLED_MAX_BITS = 10**6  # n * trials: each trial draws and evaluates two n-bit party sets
+
+
 def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
                       trials: int = 1000, rng_seed: int = 0) -> bool:
     """True iff no violating pair X <= Y with M(X)=1, M(Y)=0 is found.
@@ -383,6 +386,9 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if trials < 1:
         raise ValueError(f"sampled monotonicity check needs trials >= 1, got {trials}")
+    if n * trials > SAMPLED_MAX_BITS:
+        raise ValueError(f"sampled monotonicity check limited to n * trials <= "
+                         f"{SAMPLED_MAX_BITS}, got {n * trials}")
     rng = Stream(rng_seed)
     for _ in range(trials):
         x_packed = rng.bits(n)

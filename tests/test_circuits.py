@@ -9,7 +9,6 @@ from npshare.circuits import (
     BooleanCircuit,
     Builder,
     CnfMPrimeRelation,
-    CompileMeta,
     _prg_template,
     compile_mprime,
     decode_witness,
@@ -20,7 +19,7 @@ from npshare.circuits import (
     toy_prg_wires,
 )
 from npshare.cnf import check_assignment, tseitin
-from npshare.commitments import Opening, commit, crs_gen, prg_toy, sample_opening
+from npshare.commitments import Commitment, Opening, commit, crs_gen, prg_toy, sample_opening
 from npshare.induced import MPrimeInstance, MPrimeRelation, MPrimeWitness, mprime_verify
 from npshare.rng import Stream, derive_seed
 from npshare.structures import (
@@ -85,7 +84,7 @@ def test_stamped_prg_copies_equal_gate_by_gate_build(structure, k, monkeypatch):
     assert stamped.n_inputs == built.n_inputs
     assert stamped.gates == built.gates
     assert stamped.output == built.output
-    assert stamped.meta.x_wires == built.meta.x_wires
+    assert stamped.x_wires == built.x_wires
 
 
 @pytest.mark.parametrize("k", [4, 7])
@@ -232,21 +231,20 @@ def test_witness_lift_round_trip():
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("k", [4, 8, 12, 13, 64, 65])
 def test_witness_lift_round_trip_packed_layout(k, n):
-    """Position i's opening is one run of ell*k input bits from
-    seed_offset(i, 0), low bit first; decoding the lift returns it."""
+    """Position i's opening is one run of ell*k input bits after the n flags
+    and positions 1..i-1's runs, low bit first; decoding the lift returns it."""
     crs = crs_gen(n, k, Stream(k), expansion="toy")
     width = crs.ell * k
-    meta = CompileMeta(n=n, ell=crs.ell, k=k, structure=threshold_structure(n, 1),
-                       flags_offset=0, inner_offset=0, inner_len=0)
-    circuit = BooleanCircuit(n_inputs=meta.seed_offset(n + 1, 0), gates=[], output=False,
-                             meta=meta)
+    inst = MPrimeInstance(crs=crs, commitments=(Commitment(0),) * n,
+                          structure=threshold_structure(n, 1))
+    circuit = BooleanCircuit(n_inputs=n + n * width, gates=[], output=False, instance=inst)
     rng = Stream(n)
     openings = tuple(sample_opening(crs, rng) if i % 2 else None for i in range(1, n + 1))
     wit = MPrimeWitness(openings=openings, inner=None)
     inputs = lift_witness(circuit, wit)
     assert decode_witness(circuit, inputs) == wit
     for i, op in enumerate(openings, start=1):
-        run = inputs[meta.seed_offset(i, 0):meta.seed_offset(i + 1, 0)]
+        run = inputs[n + (i - 1) * width:n + i * width]
         assert sum(bit << t for t, bit in enumerate(run)) == (0 if op is None else op.bits)
     # an opening outside [0, 2^(ell*k)) lifts as the absent one: commit refuses it
     for bad in (-1, 1 << width):
@@ -263,23 +261,21 @@ INNER = {"threshold": None, "hamiltonian": (1, 2, 3, 4), "matching": ((1, 2), (3
 def test_compiled_inputs_are_inner_bits_then_flags_then_openings(structure):
     """The solver decides in input order, so the predicate's inputs come first:
     the inner-witness bits at 0, the n presence flags at inner_len, then
-    position i's run of ell*k opening bits at seed_offset(i, 0)."""
+    position i's run of ell*k opening bits; decoding the lift returns it."""
     inst, openings = toy_instance(structure, 600 + structure.n)
     circuit = compile_mprime(inst)
-    meta, n = circuit.meta, structure.n
-    inner_len, width = inner_witness_width(structure), meta.ell * meta.k
-    assert (meta.inner_offset, meta.inner_len, meta.flags_offset) == (0, inner_len, inner_len)
-    assert [meta.seed_offset(i, 0) for i in range(1, n + 2)] == [
-        inner_len + n + (i - 1) * width for i in range(1, n + 2)]
+    assert circuit.instance is inst
+    n, inner_len, width = structure.n, inner_witness_width(structure), inst.crs.ell * inst.crs.k
     assert circuit.n_inputs == inner_len + n + n * width
     present = tuple(op if i % 2 else None for i, op in enumerate(openings, start=1))
-    inner = INNER[structure.kind]
-    inputs = lift_witness(circuit, MPrimeWitness(openings=present, inner=inner))
-    assert inputs[:inner_len] == encode_inner(structure, inner)
+    wit = MPrimeWitness(openings=present, inner=INNER[structure.kind])
+    inputs = lift_witness(circuit, wit)
+    assert inputs[:inner_len] == encode_inner(structure, wit.inner)
     assert inputs[inner_len:inner_len + n] == [op is not None for op in present]
-    for i, op in enumerate(present, start=1):
-        run = inputs[meta.seed_offset(i, 0):meta.seed_offset(i, 0) + width]
+    for i, op in enumerate(present):
+        run = inputs[inner_len + n + i * width:inner_len + n + (i + 1) * width]
         assert sum(bit << t for t, bit in enumerate(run)) == (0 if op is None else op.bits)
+    assert decode_witness(circuit, inputs) == wit
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.kind)
@@ -322,17 +318,16 @@ def test_cnf_relation_accepts_both_witness_forms():
 
 def test_monotone_sublayout_in_characteristic_wires():
     # Flipping any x-wire 0 -> 1 (with the witness fixed) never turns the
-    # structure predicate off: checked semantically through the meta hook.
+    # structure predicate off: checked semantically through the x-wire record.
     structure = threshold_structure(4, 2)
     inst, openings = toy_instance(structure, 700)
     circuit = compile_mprime(inst)
-    meta = circuit.meta
-    assert len(meta.x_wires) == 4
+    assert len(circuit.x_wires) == 4
     base_wit = MPrimeWitness(openings=(openings[0], openings[1], None, None), inner=None)
     inputs = lift_witness(circuit, base_wit)
     wires = eval_wires(circuit, inputs)
     assert wires[circuit.output] is True
-    x_vals = [wires[w] for w in meta.x_wires]
+    x_vals = [wires[w] for w in circuit.x_wires]
     assert x_vals == [True, True, False, False]
 
 

@@ -480,6 +480,29 @@ def test_structure_check_is_not_bounded_by_the_config_party_limit(workdir, capsy
     assert json.loads(capsys.readouterr().out)["n"] == 128
 
 
+HUGE_CIRCUIT = {"kind": "monotone-circuit", "n": 10**20,
+                "payload": {"free": 0, "gates": [], "output": 0}}
+
+
+@pytest.mark.parametrize("argv, structure, error", [
+    (("deal", "--config"), {"structure": HUGE_CIRCUIT},
+     f"structure n must be at most {cli.MAX_PARTIES}, got {10**20}"),
+    (("structure", "check", "--structure"), HUGE_CIRCUIT,
+     "exhaustive monotonicity check limited to n <= 12"),
+    (("structure", "check", "--mode", "sampled", "--trials", 1, "--structure"),
+     {"kind": "threshold", "n": 10**8, "payload": 2},
+     f"sampled monotonicity check limited to n * trials <= 1000000, got {10**8}"),
+], ids=["deal-n-1e20", "check-n-1e20", "sampled-threshold-n-1e8"])
+def test_huge_structures_exit_2_with_one_line(workdir, capsys, argv, structure, error):
+    """Refused by a size bound before anything is allocated per party."""
+    (workdir / "huge.json").write_text(json.dumps(structure))
+    extra = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if "deal" in argv else ()
+    assert run(*argv, workdir / "huge.json", *extra) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("runs", [0, -2, True])
 def test_experiment_dprime_bad_runs_exit_2(workdir, capsys, runs):
     (workdir / "r.json").write_text(json.dumps({

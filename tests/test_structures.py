@@ -10,6 +10,7 @@ from npshare.structures import (
     AccessStructure,
     MonotoneCircuit,
     PartySet,
+    SAMPLED_MAX_BITS,
     check_monotone,
     check_monotone_fn,
     circuit_structure,
@@ -133,6 +134,16 @@ def test_monotone_circuit_rejects_negated_standard_input():
         MonotoneCircuit(n_std=2, n_free=0, gates=(("not", 0),), output=2)
 
 
+def test_monotone_circuit_reads_taint_from_wire_indices():
+    """A huge party count allocates nothing per party; negation is still refused
+    on a standard input and on a gate that reads one."""
+    n = 10**20
+    MonotoneCircuit(n_std=n, n_free=1, gates=(("not", n), ("and", 0, n + 1)), output=n + 2)
+    for gates in ((("not", n - 1),), (("or", 0, n), ("not", n + 1))):
+        with pytest.raises(ValueError, match="negation"):
+            MonotoneCircuit(n_std=n, n_free=1, gates=gates, output=n + 1)
+
+
 def test_check_monotone_shipped_structures():
     assert check_monotone(threshold_structure(4, 2)) is True
     assert check_monotone(hamiltonian_structure(4)) is True
@@ -174,6 +185,13 @@ def test_check_monotone_queries_are_pinned():
 
 def test_check_monotone_sampled_mode():
     assert check_monotone(threshold_structure(6, 3), mode="sampled", trials=300) is True
+
+
+def test_check_monotone_sampled_is_bounded_by_n_times_trials():
+    assert SAMPLED_MAX_BITS == 10**6
+    assert check_monotone_fn(1000, lambda members: True, mode="sampled", trials=1000) is True
+    with pytest.raises(ValueError, match=r"n \* trials <= 1000000, got 1001000"):
+        check_monotone_fn(1001, lambda members: True, mode="sampled", trials=1000)
 
 
 @pytest.mark.parametrize("trials", [0, -5])
