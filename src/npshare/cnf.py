@@ -1,4 +1,4 @@
-"""Tseitin transformation and CNF plumbing (DIMACS in/out).
+"""Tseitin transformation and CNF plumbing (DIMACS out).
 
 Variable numbering is dense and mirrors the circuit wires: wire w is
 variable w+1, inputs first, one fresh variable per gate, plus a unit
@@ -6,10 +6,10 @@ clause asserting the output.  Clause counts per gate: AND/OR 3, NOT 2,
 XOR 4.  Satisfying assignments therefore project onto exactly the
 circuit's satisfying inputs.
 
-A :class:`CNF` built from outside (``CNF(...)``, :func:`parse_dimacs`) is
-checked clause by clause and the first fault is named.  :func:`tseitin`
-instead checks its circuit gate by gate as it encodes it, and so builds
-its formula without rescanning the literals it made.
+A :class:`CNF` built from outside (``CNF(...)``) is checked clause by
+clause and the first fault is named.  :func:`tseitin` instead checks its
+circuit gate by gate as it encodes it, and so builds its formula without
+rescanning the literals it made.
 """
 
 from __future__ import annotations
@@ -110,37 +110,3 @@ def dimacs(cnf: CNF) -> str:
     lines.extend(" ".join(str(lit) for lit in clause) + " 0" for clause in cnf.clauses)
     return "\n".join(lines) + "\n"
 
-
-def parse_dimacs(text: str) -> CNF:
-    """Read a ``p cnf`` file: one problem line, first, declaring the clause count."""
-    header = None
-    clauses: list[tuple[int, ...]] = []
-    pending: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
-            if header is not None:
-                raise ValueError("second problem line")
-            header = int(parts[2]), int(parts[3])
-            continue
-        if header is None:
-            raise ValueError("clause before the problem line")
-        for token in line.split():
-            lit = int(token)
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise ValueError("unterminated clause")
-    if header is None:
-        raise ValueError("missing problem line")
-    if header[1] != len(clauses):
-        raise ValueError(f"problem line declares {header[1]} clauses, found {len(clauses)}")
-    return CNF(header[0], clauses)

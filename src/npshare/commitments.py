@@ -132,6 +132,26 @@ class CRS:
         one shared object per (expansion, k, ell), never built per CRS."""
         return _block_outputs(self.expansion, self.k, self.ell)
 
+    def invert(self, pairs) -> dict[int, int]:
+        """``{value: Opening.bits}`` for the ``(value, com)`` pairs (value in [0, 2n])
+        that open, inverted block by block; a pair is dropped at its first block
+        without a preimage.  Complete since blocks are independent (k <= 12)."""
+        if self.prg_table is None:
+            raise ValueError("exhaustive block search limited to k <= 12")
+        pre, width, value_masks = self.prg_table[1].get, self.block_bits, self.value_masks
+        mask, shifts, found = (1 << width) - 1, range(0, self.ell * self.k, self.k), {}
+        for value, com in pairs:
+            targets, seeds = com.bits ^ value_masks[value], 0  # block j: the PRG output seed j needs
+            for shift in shifts:
+                seed = pre(targets & mask)
+                if seed is None:
+                    break
+                seeds |= seed << shift
+                targets >>= width
+            else:
+                found[value] = seeds
+        return found
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -282,18 +302,11 @@ def block_preimage(crs: CRS, target: int) -> int | None:
 
 
 def find_opening(value: int, com: Commitment, crs: CRS) -> Opening | None:
-    """Exhaustively invert a commitment to ``value``, block by block.
-
-    Sound and complete because blocks are independent: an opening exists
-    iff every block's PRG target has a preimage.
-    """
+    """The opening of ``com`` to ``value``, or None: :meth:`CRS.invert` on one pair."""
     if not 1 <= value <= 2 * crs.n:
         raise ValueError(f"value {value} outside [2n] = [1, {2 * crs.n}]")
-    targets = com.bits ^ crs.value_masks[value]  # block j: the PRG output seed j needs
-    mask = (1 << crs.block_bits) - 1
-    seeds = [block_preimage(crs, (targets >> shift) & mask)
-             for shift in range(0, crs.total_bits, crs.block_bits)]
-    return None if None in seeds else Opening(sum(s << (j * crs.k) for j, s in enumerate(seeds)))
+    seeds = crs.invert(((value, com),)).get(value)
+    return None if seeds is None else Opening(seeds)
 
 
 def supports_disjoint(crs: CRS, v1: int, v2: int) -> bool:

@@ -24,7 +24,6 @@ from .commitments import (
     CRS,
     Commitment,
     Opening,
-    find_opening,
     opening_from_json,
     verify_opening,
 )
@@ -99,58 +98,34 @@ def mprime_verify(inst: MPrimeInstance, wit: MPrimeWitness) -> bool:
 
 def assemble_witness(X: PartySet, openings_by_party, inner) -> MPrimeWitness:
     """Openings exactly for the members of X, the absent value elsewhere."""
-    out: list[Opening | None] = []
-    for i in range(1, X.n + 1):
-        if i in X:
-            opening = openings_by_party.get(i)
-            if opening is None:
-                raise ValueError(f"no opening available for party {i}")
-            out.append(opening)
-        else:
-            out.append(None)
-    return MPrimeWitness(openings=tuple(out), inner=inner)
+    for i in sorted(X.members):
+        if openings_by_party.get(i) is None:
+            raise ValueError(f"no opening available for party {i}")
+    return MPrimeWitness(inner=inner, openings=tuple(
+        openings_by_party[i] if i in X else None for i in range(1, X.n + 1)))
 
 
 WITNESS_BUDGET = 250_000  # inner witnesses exhaustive search may enumerate
 
 
-def _openable_set(inst: MPrimeInstance) -> PartySet:
-    """The positions whose commitment opens to its own index, by the
-    per-block preimage test of ``find_opening``, building no opening.
-
-    Exhaustive search looks for an inner witness over this maximal
-    openable set, which is sound and complete at desk scale since all
-    shipped verifiers are monotone in the party set.  Per position,
-    block-wise inversion needs ell * 2^k work (refused above k = 10).
-    """
-    crs = inst.crs
-    if crs.k > 10:
+def _openable(inst: MPrimeInstance) -> dict[int, int]:
+    """``{i: Opening.bits}`` for the positions opening to their own index, by one
+    :meth:`CRS.invert`; refused above k = 10 or past :data:`WITNESS_BUDGET`.  Search
+    over this maximal set is complete since every shipped verifier is monotone."""
+    if inst.crs.k > 10:
         raise ValueError("exhaustive search limited to k <= 10")
     if witness_space_size(inst.structure) > WITNESS_BUDGET:
         raise ValueError("inner-witness space exceeds the search budget")
-    pre, width, blocks, value_masks = crs.prg_table[1], crs.block_bits, crs.blocks, crs.value_masks
-    mask = (1 << width) - 1
-    members = []
-    for i, com in enumerate(inst.commitments, 1):
-        targets = com.bits ^ value_masks[i]  # block j: the PRG output opening j needs
-        for _ in blocks:
-            if (targets & mask) not in pre:
-                break
-            targets >>= width
-        else:
-            members.append(i)
-    return PartySet.of(inst.n, members)
+    return inst.crs.invert(enumerate(inst.commitments, 1))
 
 
 def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
     """A witness iff one exists: openings for the maximal openable set and
     the first inner witness that set admits."""
-    x_star = _openable_set(inst)
-    for inner in inner_witnesses(inst.structure, x_star):
-        crs, coms = inst.crs, inst.commitments
+    seeds = _openable(inst)
+    for inner in inner_witnesses(inst.structure, seeds):
         return MPrimeWitness(inner=inner, openings=tuple(
-            find_opening(i, coms[i - 1], crs) if i in x_star else None
-            for i in range(1, inst.n + 1)))
+            Opening(seeds[i]) if i in seeds else None for i in range(1, inst.n + 1)))
     return None
 
 
@@ -176,7 +151,7 @@ class MPrimeRelation:
     def in_language(self) -> bool:
         """``exhaustive_witness_search(instance) is not None``, building no witness."""
         inst = self.instance  # an inner witness may be None, so not any(...)
-        return any(True for _ in inner_witnesses(inst.structure, _openable_set(inst)))
+        return any(True for _ in inner_witnesses(inst.structure, _openable(inst)))
 
     def describe(self) -> dict:
         return {"instance": self.instance.to_json(), "type": self.tag}

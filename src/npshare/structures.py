@@ -280,7 +280,7 @@ def verify(structure: AccessStructure, X: PartySet, witness) -> bool:
 # Witness enumeration (exhaustive, used for deciding the NP kinds and by
 # the induced-language search).
 
-def _hamiltonian_cycles(v: int, present: frozenset[int]):
+def _hamiltonian_cycles(v: int, present):
     # First vertex pinned to 1: every cycle has such a representative.
     for rest in permutations(range(2, v + 1)):
         cycle = (1,) + rest
@@ -288,7 +288,7 @@ def _hamiltonian_cycles(v: int, present: frozenset[int]):
             yield cycle
 
 
-def _perfect_matchings(vertices: tuple[int, ...], v: int, present: frozenset[int]):
+def _perfect_matchings(vertices: tuple[int, ...], v: int, present):
     if not vertices:
         yield ()
         return
@@ -301,7 +301,8 @@ def _perfect_matchings(vertices: tuple[int, ...], v: int, present: frozenset[int
 
 
 def inner_witnesses(structure: AccessStructure, X: PartySet):
-    """Yield witnesses w with verify(structure, X, w) = 1 (may be empty)."""
+    """Yield witnesses w with verify(structure, X, w) = 1 (may be empty).
+    X may be any container of the members (``len`` and ``in``), unchecked."""
     kind = structure.kind
     if kind == "threshold":
         if len(X) >= structure.payload:
@@ -309,18 +310,18 @@ def inner_witnesses(structure: AccessStructure, X: PartySet):
         return
     if kind == "monotone-circuit":
         payload: MonotoneCircuit = structure.payload
-        std = X.char_bits()
+        std = [i in X for i in range(1, structure.n + 1)]
         for packed in range(1 << payload.n_free):
             free = tuple((packed >> i) & 1 for i in range(payload.n_free))
             if payload.eval(std, free):
                 yield free
         return
     if kind == "hamiltonian":
-        yield from _hamiltonian_cycles(structure.payload, X.members)
+        yield from _hamiltonian_cycles(structure.payload, X)
         return
     v = structure.payload
     if v % 2 == 0:
-        yield from _perfect_matchings(tuple(range(1, v + 1)), v, X.members)
+        yield from _perfect_matchings(tuple(range(1, v + 1)), v, X)
 
 
 def witness_space_size(structure: AccessStructure) -> int:
@@ -336,16 +337,8 @@ def witness_space_size(structure: AccessStructure) -> int:
     return math.prod(range(v - 1, 0, -2))  # perfect matchings of K_v
 
 
-def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -> bool:
-    """Decide M(X): true iff :func:`inner_witnesses` yields a witness.
-
-    Thresholds and circuits without free inputs have one candidate
-    witness.  The NP kinds (and circuits with free inputs) are decided by
-    exhaustive witness search, which callers must opt into via
-    ``expensive=True``; refused above n = 15 (v = 6).
-    """
-    if X.n != structure.n:
-        raise ValueError("party set is over a different n than the structure")
+def _decision_bounds(structure: AccessStructure, expensive: bool) -> None:
+    """Refuse exhaustive decision unless opted into; above n = 15 (v = 6) or 20 free inputs."""
     kind = structure.kind
     if kind != "threshold" and (kind != "monotone-circuit" or structure.payload.n_free):
         if not expensive:
@@ -354,7 +347,20 @@ def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -
             raise ValueError("exhaustive decision limited to n <= 15")
         if kind == "monotone-circuit" and structure.payload.n_free > 20:
             raise ValueError("too many free inputs for exhaustive decision")
-    for _ in inner_witnesses(structure, X):
+
+
+def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -> bool:
+    """Decide M(X): true iff :func:`inner_witnesses` yields a witness.
+
+    Thresholds and circuits without free inputs have one candidate
+    witness.  The NP kinds (and circuits with free inputs) are decided by
+    exhaustive witness search, which callers must opt into via
+    ``expensive=True`` (:func:`_decision_bounds`).
+    """
+    if X.n != structure.n:
+        raise ValueError("party set is over a different n than the structure")
+    _decision_bounds(structure, expensive)
+    for _ in inner_witnesses(structure, X.members):
         return True
     return False
 
@@ -365,6 +371,23 @@ def _members(packed: int) -> frozenset[int]:
 
 
 SAMPLED_MAX_BITS = 10**6  # n * trials: each trial draws and evaluates two n-bit party sets
+CHECK_MAX_WITNESSES = 10**6  # evaluations * witness_space_size: inner witnesses a check may try
+
+
+def _evaluations(n: int, mode: str, trials: int) -> int:
+    """How many party sets :func:`check_monotone_fn` evaluates, once its bounds pass."""
+    if mode == "exhaustive":
+        if n > 12:
+            raise ValueError("exhaustive monotonicity check limited to n <= 12")
+        return 1 << n
+    if mode != "sampled":
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if trials < 1:
+        raise ValueError(f"sampled monotonicity check needs trials >= 1, got {trials}")
+    if n * trials > SAMPLED_MAX_BITS:
+        raise ValueError(f"sampled monotonicity check limited to n * trials <= "
+                         f"{SAMPLED_MAX_BITS}, got {n * trials}")
+    return 2 * trials
 
 
 def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
@@ -374,21 +397,13 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
     ``predicate`` maps a frozenset of parties to a bool.  Exhaustive mode
     checks all single-element extensions, which suffices by induction.
     """
+    _evaluations(n, mode, trials)
     if mode == "exhaustive":
-        if n > 12:
-            raise ValueError("exhaustive monotonicity check limited to n <= 12")
         table = [predicate(_members(packed)) for packed in range(1 << n)]
         for packed in range(1 << n):
             if table[packed] and not all(table[packed | (1 << i)] for i in range(n)):
                 return False
         return True
-    if mode != "sampled":
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if trials < 1:
-        raise ValueError(f"sampled monotonicity check needs trials >= 1, got {trials}")
-    if n * trials > SAMPLED_MAX_BITS:
-        raise ValueError(f"sampled monotonicity check limited to n * trials <= "
-                         f"{SAMPLED_MAX_BITS}, got {n * trials}")
     rng = Stream(rng_seed)
     for _ in range(trials):
         x_packed = rng.bits(n)
@@ -400,6 +415,11 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
 
 def check_monotone(structure: AccessStructure, mode: str = "exhaustive",
                    trials: int = 1000, rng_seed: int = 0) -> bool:
+    evaluations = _evaluations(structure.n, mode, trials)
+    _decision_bounds(structure, expensive=True)  # so witness_space_size is small to compute
+    if evaluations * (size := witness_space_size(structure)) > CHECK_MAX_WITNESSES:
+        raise ValueError(f"monotonicity check limited to {CHECK_MAX_WITNESSES} inner witnesses, "
+                         f"got {evaluations} evaluations * {size}")
     return check_monotone_fn(
         structure.n,
         lambda members: evaluate(structure, PartySet(structure.n, members), expensive=True),

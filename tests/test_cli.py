@@ -482,6 +482,9 @@ def test_structure_check_is_not_bounded_by_the_config_party_limit(workdir, capsy
 
 HUGE_CIRCUIT = {"kind": "monotone-circuit", "n": 10**20,
                 "payload": {"free": 0, "gates": [], "output": 0}}
+FREE_20_CIRCUIT = {"kind": "monotone-circuit", "n": 12, "payload": {  # ANDs 20 free inputs, party 1
+    "free": 20, "gates": [["and", 12, 13]] + [["and", 31 + j, 13 + j] for j in range(1, 19)]
+    + [["and", 50, 0]], "output": 51}}
 
 
 @pytest.mark.parametrize("argv, structure, error", [
@@ -492,7 +495,13 @@ HUGE_CIRCUIT = {"kind": "monotone-circuit", "n": 10**20,
     (("structure", "check", "--mode", "sampled", "--trials", 1, "--structure"),
      {"kind": "threshold", "n": 10**8, "payload": 2},
      f"sampled monotonicity check limited to n * trials <= 1000000, got {10**8}"),
-], ids=["deal-n-1e20", "check-n-1e20", "sampled-threshold-n-1e8"])
+    (("structure", "check", "--structure"), FREE_20_CIRCUIT,
+     "monotonicity check limited to 1000000 inner witnesses, got 4096 evaluations * 1048576"),
+    (("structure", "check", "--structure"),  # refused before 2^free is counted
+     {"kind": "monotone-circuit", "n": 2, "payload": {"free": 10**20, "gates": [], "output": 0}},
+     "too many free inputs for exhaustive decision"),
+], ids=["deal-n-1e20", "check-n-1e20", "sampled-threshold-n-1e8", "check-free-20",
+        "check-free-1e20"])
 def test_huge_structures_exit_2_with_one_line(workdir, capsys, argv, structure, error):
     """Refused by a size bound before anything is allocated per party."""
     (workdir / "huge.json").write_text(json.dumps(structure))

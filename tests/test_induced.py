@@ -6,7 +6,7 @@ import json
 import pytest
 
 from npshare import serde
-from npshare.commitments import commit, crs_gen, sample_opening, supports_disjoint
+from npshare.commitments import commit, crs_gen, find_opening, sample_opening, supports_disjoint
 from npshare.induced import (
     MPrimeInstance,
     MPrimeRelation,
@@ -15,7 +15,7 @@ from npshare.induced import (
     derive_characteristic,
     exhaustive_witness_search,
     mprime_verify,
-    _openable_set,
+    _openable,
 )
 from npshare.rng import Stream, derive_seed
 from npshare.scheme import SchemeContext, default_expansion, relation_for
@@ -175,10 +175,10 @@ def test_value_substitution_never_opens():
     for seed in range(50, 60):
         inst, _ = substituted_instance(structure, PartySet.empty(4), seed)
         overlapping = {i for i in range(1, 5) if not supports_disjoint(inst.crs, i, 4 + i)}
-        assert _openable_set(inst).members <= overlapping
+        assert set(_openable(inst)) <= overlapping
         if not overlapping:
             all_disjoint += 1
-            assert _openable_set(inst) == PartySet.empty(4)
+            assert _openable(inst) == {}
     assert all_disjoint >= 9
 
 
@@ -248,10 +248,31 @@ def test_in_language_is_whether_exhaustive_search_finds_a_witness(structure):
         X = PartySet.of(n, {i for i in range(1, n + 1) if rng.bit()})
         for inst in (MPrimeInstance(ctx.crs, coms, structure),
                      ctx.deal(b"s", rng, coms, X).public):
-            expected = exhaustive_witness_search(inst) is not None
+            witness = exhaustive_witness_search(inst)
+            expected = witness is not None
             assert MPrimeRelation(inst).in_language() is expected
             seen.add(expected)
+            if expected:  # each position's opening is find_opening's, None where it finds none
+                assert witness.openings == tuple(
+                    find_opening(i, com, inst.crs) for i, com in enumerate(inst.commitments, 1))
     assert seen == {False, True}
+
+
+def test_search_and_in_language_build_no_party_set(monkeypatch):
+    """The search reads the openable positions as they are found: no PartySet."""
+    ctx = SchemeContext.create(threshold_structure(6, 2), seed=6, backend="leaky")
+    inst = MPrimeInstance(ctx.crs, ctx.a0_commitments(Stream(7)), ctx.structure)
+    built = []
+    check = PartySet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PartySet, "__post_init__", counted)
+    assert MPrimeRelation(inst).in_language() is True
+    assert exhaustive_witness_search(inst) is not None
+    assert built == []
 
 
 @pytest.mark.parametrize("structure,k,message", [
