@@ -23,10 +23,11 @@ for this pipeline must use CRSs with ``expansion="toy"``.
 ``check_compilable`` holds this and the size bounds, which
 ``CnfMPrimeRelation`` checks at construction: a dealing compiles nothing.
 
-Gates are AND/OR/NOT/XOR over earlier wires; the builder constant-folds
-and deduplicates structurally, so instance constants never appear as
-wires.  The circuit keeps its instance, whose layout lifting and decoding
-read, and its characteristic wires (the structure sub-circuit's standard
+Gates are AND/OR/NOT/XOR over earlier wires; the builder constant-folds,
+so instance constants never appear as wires, and emits each AND/OR/XOR
+gate it is asked for (a repeated gate adds only a Tseitin variable).
+The circuit keeps its instance, whose layout lifting and decoding read,
+and its characteristic wires (the structure sub-circuit's standard
 inputs); everything downstream of them is monotone except through the
 inner-witness side, mirroring the non-deterministic circuit model.
 """
@@ -61,25 +62,19 @@ class BooleanCircuit:
 
 
 class Builder:
-    """Gate emitter with constant folding and structural deduplication."""
+    """Gate emitter with constant folding; ``_neg`` shares each wire's NOT
+    gate and folds a binary gate over a wire and its complement."""
 
     def __init__(self, n_inputs: int):
         self.n_inputs = n_inputs
         self.gates: list[tuple] = []
-        self._cache: dict = {}
         self._neg: dict[int, int] = {}
 
     def _emit(self, op: str, a: int, b: int) -> int:
-        key = (op, a, b)
-        wire = self._cache.get(key)
-        if wire is None:
-            wire = self.n_inputs + len(self.gates)
-            self.gates.append(key)
-            self._cache[key] = wire
-        return wire
+        self.gates.append((op, a, b))
+        return self.n_inputs + len(self.gates) - 1
 
     def not_(self, a):
-        """NOT gates are deduplicated by ``_neg`` alone, never by ``_cache``."""
         if isinstance(a, bool):
             return not a
         wire = self._neg.get(a)
@@ -143,9 +138,8 @@ class Builder:
     def stamp(self, gates, outputs, inputs) -> list:
         """Append a copy of ``gates``, built on a fresh ``Builder(len(inputs))``
         with output wires ``outputs``, over ``inputs``, which no gate may read
-        yet; returns the copy's outputs, numbered as if built here gate by gate.
-        Only NOT gates are registered for reuse, in ``_neg``: no AND/OR/XOR gate
-        of a PRG template reads two wires its outputs name through NOT."""
+        yet; returns the copy's outputs, numbered as if built here gate by gate,
+        with its NOT gates in ``_neg``."""
         base = self.n_inputs + len(self.gates)
         wire = list(inputs) + list(range(base, base + len(gates)))
         for w, gate in enumerate(gates, base):
@@ -213,7 +207,7 @@ def toy_prg_wires(bd: Builder, seed_bits, k: int):
     return out
 
 
-@functools.lru_cache(maxsize=5)  # 4 <= k <= COMPILE_MAX_K
+@functools.cache  # one template per k, 4 <= k <= COMPILE_MAX_K
 def _prg_template(k: int) -> tuple[tuple, tuple]:
     """The gates and output wires of ``toy_prg_wires`` over seed wires 0..k-1."""
     bd = Builder(k)

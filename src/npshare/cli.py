@@ -62,8 +62,7 @@ def _check_keys(obj: dict, allowed: set, context: str) -> None:
 DEAL_KEYS = {"structure", "k", "lam", "backend", "expansion", "master_seed"}
 EXPERIMENT_KEYS = DEAL_KEYS | {
     "game", "epsilon", "trials", "delta", "secret_len", "sampler",
-    "distinguisher", "p_unqualified", "runs", "n", "planted_position",
-    "planted_gap",
+    "distinguisher", "runs", "n", "planted_position", "planted_gap",
 }
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 
@@ -181,9 +180,10 @@ def _experiment_context(config, seed) -> tuple:
     ctx = harness.SchemeContext.create(structure, seed=seed, **_scheme_options(config, "leaky"))
     secret_len = _get(config, "secret_len", int, 4, lambda v: 1 <= v <= 64, "an integer in 1..64")
     sampler_cfg = _get(config, "sampler", dict, {"kind": "mixed"})
+    _check_keys(sampler_cfg, {"kind", "p_unqualified"}, "sampler")
     if _get(sampler_cfg, "kind", str, "mixed") != "mixed":
         raise ConfigError(f"unknown sampler kind {sampler_cfg['kind']!r}")
-    p_unq = _get(sampler_cfg, "p_unqualified", float, _get(config, "p_unqualified", float, 0.3))
+    p_unq = _get(sampler_cfg, "p_unqualified", float, 0.3)
     sampler = harness.mixed_sampler(structure, p_unq, secret_len)
     dname = _get(config, "distinguisher", str, "leak-reader")
     factory = {"leak-reader": harness.leak_reader,
@@ -202,13 +202,14 @@ def _run_experiment(config, seed) -> dict:
     trials = _get(config, "trials", int, 1000, lambda v: v > 0, "a positive integer")
     delta = _get(config, "delta", float, 0.01, lambda v: 0 < v < 1, "a number in (0, 1)")
     eps = _get(config, "epsilon", float, 0.3, lambda v: 0.1 <= v <= 1, "a number in [0.1, 1]")
+    runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
+    n = _get(config, "n", int, 8, lambda v: 1 <= v <= 64, "an integer in 1..64")
+    position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
+                    f"an integer in 1..{n}")
+    gap = _get(config, "planted_gap", float, 0.8, lambda v: 0 <= v <= 1, "a number in [0, 1]")
     if game not in GAMES:
         raise ConfigError(f"unknown game {game!r}")
     if game == "hybrid":
-        n = _get(config, "n", int, 8, lambda v: 1 <= v <= 64, "an integer in 1..64")
-        position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
-                        f"an integer in 1..{n}")
-        gap = _get(config, "planted_gap", float, 0.8)
         loc = harness.hybrid_locate(
             harness.position_detector(position, gap, n), n, trials,
             master_seed=seed, sample_source=harness.transparent_sample_source,
@@ -227,7 +228,6 @@ def _run_experiment(config, seed) -> dict:
         )
         return report.to_json()
     if game == "dprime":
-        runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
         lanes = [derive_seed(seed, lane) for lane in (0xA0, 0xD0, 0xA1, 0xD1)]
         c0, c1 = harness.dprime_gap(ctx, eps, sampler, D, runs,
                                     lambda t: tuple(derive_seed(lane, t) for lane in lanes))

@@ -5,11 +5,9 @@ import gc
 import pytest
 
 from npshare.circuits import (
-    COMPILE_MAX_K,
     BooleanCircuit,
     Builder,
     CnfMPrimeRelation,
-    _prg_template,
     compile_mprime,
     decode_witness,
     encode_inner,
@@ -89,50 +87,17 @@ def test_stamped_prg_copies_equal_gate_by_gate_build(structure, k, monkeypatch):
 
 @pytest.mark.parametrize("k", [4, 7])
 def test_stamp_leaves_builder_as_gate_by_gate_build(k):
-    """The stamped builder holds the gate-by-gate build's gates and negations,
-    and its dedup table less exactly the copies' AND/OR/XOR keys, which no
-    later lookup over the copies' outputs can hit (see the next test)."""
+    """The stamped builder holds the gate-by-gate build's gates and negations."""
     template = Builder(k)
     outs = toy_prg_wires(template, list(range(k)), k)
     stamped, built = Builder(3 * k), Builder(3 * k)
     for bd in (stamped, built):
         bd.not_(bd.and_(0, 1))  # gates before the copies
-    first_copy_gate = len(built.gates)
     for copy in (1, 2):
         inputs = range(copy * k, (copy + 1) * k)
         assert stamped.stamp(template.gates, outs, inputs) == toy_prg_wires(built, list(inputs), k)
     assert stamped.gates == built.gates
     assert stamped._neg == built._neg
-    copy_keys = {gate for gate in built.gates[first_copy_gate:] if gate[0] != "not"}
-    assert copy_keys and copy_keys <= built._cache.keys()
-    assert stamped._cache == {key: w for key, w in built._cache.items() if key not in copy_keys}
-
-
-def nameable_wires(gates, outputs, n_inputs):
-    """The wires a holder of ``outputs`` can name: the outputs and their
-    closure through the NOT gates (``Builder.not_`` answers either way)."""
-    neg = {}
-    for w, gate in enumerate(gates, n_inputs):
-        if gate[0] == "not":
-            neg[w], neg[gate[1]] = gate[1], w
-    named = {w for w in outputs if not isinstance(w, bool)}
-    frontier = set(named)
-    while frontier:
-        frontier = {neg[w] for w in frontier if w in neg} - named
-        named |= frontier
-    return named
-
-
-@pytest.mark.parametrize("k", range(4, COMPILE_MAX_K + 1))
-def test_prg_template_binary_gates_read_no_two_nameable_wires(k):
-    """Why ``Builder.stamp`` may skip registering a copy's AND/OR/XOR gates:
-    none reads two wires nameable from the copy's outputs, so no ``and_``,
-    ``or_`` or ``xor`` over the outputs and their negations can hit one."""
-    gates, outs = _prg_template(k)
-    named = nameable_wires(gates, outs, k)
-    assert named - set(outs) == ({18} if k == 4 else set())  # 18 = not 8 at k = 4
-    assert not [(w, gate) for w, gate in enumerate(gates, k)
-                if gate[0] != "not" and gate[1] in named and gate[2] in named]
 
 
 def test_builder_constant_folding():
@@ -145,7 +110,8 @@ def test_builder_constant_folding():
     assert bd.and_(0, 0) == 0
     assert bd.xor(0, 0) is False
     w = bd.and_(0, 1)
-    assert bd.and_(1, 0) == w  # structural dedup, commuted
+    assert bd.and_(1, 0) == w + 1  # no dedup: a second gate, operands in order
+    assert bd.gates[-2:] == [("and", 0, 1), ("and", 0, 1)]
 
 
 STRUCTURES = [
@@ -276,19 +242,6 @@ def test_compiled_inputs_are_inner_bits_then_flags_then_openings(structure):
         run = inputs[inner_len + n + i * width:inner_len + n + (i + 1) * width]
         assert sum(bit << t for t, bit in enumerate(run)) == (0 if op is None else op.bits)
     assert decode_witness(circuit, inputs) == wit
-
-
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.kind)
-def test_compile_files_no_not_key_in_the_dedup_table(structure, monkeypatch):
-    """NOT gates are found through ``_neg`` only, so ``_cache`` holds no NOT key."""
-    builders = []
-    finish = Builder.finish
-    monkeypatch.setattr(Builder, "finish",
-                        lambda bd, *args: builders.append(bd) or finish(bd, *args))
-    circuit = compile_mprime(toy_instance(structure, 700 + structure.n)[0])
-    [bd] = builders
-    assert any(gate[0] == "not" for gate in circuit.gates)
-    assert [key for key in bd._cache if key[0] == "not"] == []
 
 
 def test_lifted_witness_satisfies_cnf_iff_valid():

@@ -438,12 +438,26 @@ THRESHOLD128 = {"kind": "threshold", "n": 128, "payload": 2}  # one party above 
     ("experiment", {**THRESHOLD3, "epsilon": 1.5}),
     ("deal", {**THRESHOLD3, "structure": THRESHOLD128}),
     ("experiment", {**THRESHOLD3, "structure": THRESHOLD128}),
+    # the sampler's settings live in "sampler" alone, and its keys are checked
+    ("experiment", {**THRESHOLD3, "sampler": {"kind": "mixed", "p_unqualified": 0.3,
+                                              "bogus": 1}}),
+    ("experiment", {**THRESHOLD3, "p_unqualified": 0.9,
+                    "sampler": {"kind": "mixed", "p_unqualified": 0.1}}),
+    # every key present is checked, whatever the game
+    ("experiment", {**THRESHOLD3, "game": "ind", "runs": 0, "n": -5, "planted_gap": 7}),
+    ("experiment", {**THRESHOLD3, "game": "sem", "n": 65}),
+    ("experiment", {**THRESHOLD3, "game": "equiv", "planted_position": 9}),
+    ("experiment", {**THRESHOLD3, "game": "dprime", "runs": 1, "planted_gap": -0.1}),
+    ("experiment", {"game": "hybrid", "runs": 0}),
+    ("experiment", {"game": "hybrid", "planted_gap": 1.5}),
 ], ids=["deal-no-structure", "deal-number", "deal-null", "deal-k-list", "experiment-empty",
         "k-list", "delta-null", "delta-0", "sampler-number", "p_unqualified-list",
         "hybrid-n-0", "hybrid-position-9", "deal-k-65", "deal-k-1e6", "k-65", "k-1e6",
         "secret_bits", "deal-lam-7", "deal-lam-257", "lam-257", "secret_len-0",
         "secret_len-65", "hybrid-n-65", "epsilon-0.09", "epsilon-0", "epsilon-1.5",
-        "deal-n-128", "n-128"])
+        "deal-n-128", "n-128", "sampler-unknown-key", "top-level-p_unqualified",
+        "ind-runs-n-gap", "sem-n-65", "equiv-position-9", "dprime-gap-negative",
+        "hybrid-runs-0", "hybrid-gap-1.5"])
 def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config):
     (workdir / "bad.json").write_text(json.dumps(config))
     argv = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if command == "deal" else ()
@@ -758,6 +772,62 @@ def test_recon_fuzzed_share_files_exit_cleanly(dealt, data):
     with contextlib.redirect_stderr(err):
         code = run("recon", "--parties", "1,2", "--out", root / "secret.out", *paths)
     assert code in {2, 3, 4, 5}, (code, mutation[0], both)
+    assert "Traceback" not in err.getvalue()
+
+
+WITNESS_STRUCTURES = {"hamiltonian4": HAMILTONIAN4, "matching4": MATCHING4, "circuit5": CIRCUIT5}
+
+
+@pytest.fixture(scope="module")
+def witness_dealings(tmp_path_factory):
+    """One dealing per (backend, structure): the share files' directory and n."""
+    root = tmp_path_factory.mktemp("witness")
+    (root / "secret.bin").write_bytes(b"four")
+    dealings = {}
+    for backend in ("idealized", "cnf", "leaky"):
+        for name, structure in WITNESS_STRUCTURES.items():
+            out = root / f"{backend}-{name}"
+            (root / "cfg.json").write_text(json.dumps({"structure": structure,
+                                                       "backend": backend}))
+            assert run("deal", "--config", root / "cfg.json", "--secret", root / "secret.bin",
+                       "--out", out) == EXIT_OK
+            dealings[backend, name] = out, structure["n"]
+    return dealings
+
+
+# JSON values of every kind, nested; small integers reach vertices and bits
+WITNESS_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-1, 6), st.integers(),
+              st.floats(allow_nan=False), st.text(max_size=4)),
+    lambda children: st.one_of(st.lists(children, max_size=6),
+                               st.dictionaries(st.text(max_size=3), children, max_size=2)),
+    max_leaves=10,
+)
+# well-formed inner witnesses too, so the accepting path runs: a cycle of K4,
+# a perfect matching of K4 and one free bit, each valid on its own structure
+VERTICES = st.permutations([1, 2, 3, 4])
+INNER_VALUES = st.one_of(WITNESS_VALUES, VERTICES, VERTICES.map(lambda p: [p[:2], p[2:]]),
+                         st.lists(st.integers(0, 1), min_size=1, max_size=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_recon_fuzzed_witness_files_exit_cleanly(witness_dealings, data):
+    """README's witness-file rule: any witness file ends in exit 0, 2
+    (malformed) or 4 (rejected), never in a traceback."""
+    out, n = witness_dealings[data.draw(st.sampled_from(sorted(witness_dealings)))]
+    parties = sorted(data.draw(st.one_of(st.just(range(1, n + 1)),
+                                         st.sets(st.integers(1, n), min_size=1))))
+    witness = {key: data.draw(values) for key, values in (("inner", INNER_VALUES),
+                                                          ("openings", WITNESS_VALUES))
+               if data.draw(st.booleans())}
+    path = out.parent / "wit.json"
+    path.write_text(json.dumps(witness))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("recon", "--parties", ",".join(map(str, parties)), "--witness", path,
+                   "--out", out.parent / "secret.out", *(out / f"share_{i}.json" for i in parties))
+    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_REJECTED}, (code, witness)
     assert "Traceback" not in err.getvalue()
 
 

@@ -490,49 +490,58 @@ HAM4_CYCLE = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))}
 
 
 def trajectory_corpus():
+    """(family, formula) pairs, each family's formulas in a fixed order."""
     # 436, 1457 and 5522 conflicts: restarts, and at the last one an
     # activity rescale (activities pass 1e100 after ~4500 conflicts)
     for n_vars, trial in ((90, 0), (120, 0), (200, 1)):
-        yield random_3sat(Stream(derive_seed(0x3A7, n_vars * 10 + trial)), n_vars)
+        yield "random_3sat", random_3sat(Stream(derive_seed(0x3A7, n_vars * 10 + trial)), n_vars)
     for trial in range(300):
         rng = Stream(derive_seed(0x601D, trial))
-        yield random_cnf(rng, 1 + rng.randrange(13), 1 + rng.randrange(45))
+        yield "random_cnf", random_cnf(rng, 1 + rng.randrange(13), 1 + rng.randrange(45))
     circuits = 0
     for trial in range(1000):
         rng = Stream(derive_seed(0x601E, trial))
         circuit = random_circuit(rng, 4 + rng.randrange(12), 10 + rng.randrange(60))
         if isinstance(circuit.output, bool):
             continue
-        yield tseitin(circuit)
+        yield "random_circuit", tseitin(circuit)
         circuits += 1
         if circuits == 60:
             break
     for holes in (3, 4, 5):
-        yield pigeonhole(holes)
+        yield "pigeonhole", pigeonhole(holes)
     path = {edge_index(4, a, b) for a, b in ((1, 2), (2, 3), (3, 4))}
     for structure, planted, unplanted in (
         (threshold_structure(6, 3), {1, 3, 5}, {2, 6}),
         (hamiltonian_structure(4), HAM4_CYCLE, path),
     ):
         for X in (planted, unplanted):
-            yield substituted_cnf(structure, PartySet.of(structure.n, X), 0x601F)
+            yield "substituted", substituted_cnf(structure, PartySet.of(structure.n, X), 0x601F)
 
 
-# SHA-256 over the solver's answers on trajectory_corpus().  It pins the
-# search itself: a change to decisions, propagation order, learning or
-# restarts shows up as a different first satisfying assignment.
-TRAJECTORY_SHA256 = "6b169b8237fbca86e563fd627b43c2a7002a188184531756982e3bade7eb15d8"
+# SHA-256 over the solver's answers on each family of trajectory_corpus().
+# It pins the search itself: a change to decisions, propagation order,
+# learning or restarts shows up as a different first satisfying assignment.
+# One digest per family, so a change to how one family's formulas are built
+# (random_circuit goes through Builder) re-pins that family alone.
+TRAJECTORY_SHA256 = {
+    "random_3sat": "f9340b54e3dc762bce2f4b8daefa45e63f3a3a3de820833119bbb942ae3ae348",
+    "random_cnf": "7a9d2e589e8bf25ad6d747410f5a2292cb89dca34d1c9efb3ec5292f3b2e83b8",
+    "random_circuit": "68c7250562b7ecd5e7b8749460eaacc1ff05701273509ea3bad77f38285e28d6",
+    "pigeonhole": "3c616a05f13e6befa7d0e536906d811282c79876091f5aa8a66c1ff7ecf72bd5",
+    "substituted": "ffc9430ba3b1eb6c5de97a7f21352a3287c5b4441ab3abd2ca06892b19a45ad3",
+}
 
 
 def test_solve_cnf_search_trajectory_is_golden():
-    digest = hashlib.sha256()
+    digests = {family: hashlib.sha256() for family in TRAJECTORY_SHA256}
     answers = set()
-    for formula in trajectory_corpus():
+    for family, formula in trajectory_corpus():
         result = solve_cnf(formula, max_conflicts=200_000)
-        digest.update(b"N;" if result is None else bytes(result) + b";")
+        digests[family].update(b"N;" if result is None else bytes(result) + b";")
         answers.add(result is None)
     assert answers == {True, False}
-    assert digest.hexdigest() == TRAJECTORY_SHA256
+    assert {family: d.hexdigest() for family, d in digests.items()} == TRAJECTORY_SHA256
 
 
 @pytest.mark.parametrize("formula, expected", [
