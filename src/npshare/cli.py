@@ -75,7 +75,8 @@ def _get(obj: dict, key: str, kind, default, ok=None, need: str = ""):
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is bool or not isinstance(value, kind) or (ok and not ok(value)):
-        got = json.dumps(obj[key]) if key in obj else "no value"
+        got = (json.dumps(obj[key]) if key in obj else
+               "no value" if default is None else f"the default {json.dumps(default)}")
         raise ConfigError(f"{key} must be {need or _KIND_NAMES[kind]}, got {got}")
     return value
 
@@ -140,9 +141,10 @@ def cmd_recon(args) -> int:
     inner = None
     if args.witness is not None:
         wobj = _load_json(args.witness)
+        _check_keys(wobj, {"inner", "openings"}, f"{args.witness}: witness")
         # openings, when present, are parsed only to reject a malformed file
         try:
-            inner = witness_from_json({"openings": [], **wobj}, shares[0].crs).inner
+            inner = witness_from_json(wobj, shares[0].crs).inner
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{args.witness}: bad witness: {exc}") from exc
     secret = recon(shares, X, inner)
@@ -204,8 +206,9 @@ def _run_experiment(config, seed) -> dict:
     eps = _get(config, "epsilon", float, 0.3, lambda v: 0.1 <= v <= 1, "a number in [0.1, 1]")
     runs = _get(config, "runs", int, 50, lambda v: v > 0, "a positive integer")
     n = _get(config, "n", int, 8, lambda v: 1 <= v <= 64, "an integer in 1..64")
-    position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
-                    f"an integer in 1..{n}")
+    if game == "hybrid" or "planted_position" in config:  # the default is hybrid's alone
+        position = _get(config, "planted_position", int, 3, lambda v: 1 <= v <= n,
+                        f"an integer in 1..{n}")
     gap = _get(config, "planted_gap", float, 0.8, lambda v: 0 <= v <= 1, "a number in [0, 1]")
     if game not in GAMES:
         raise ConfigError(f"unknown game {game!r}")

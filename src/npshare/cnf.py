@@ -6,10 +6,13 @@ clause asserting the output.  Clause counts per gate: AND/OR 3, NOT 2,
 XOR 4.  Satisfying assignments therefore project onto exactly the
 circuit's satisfying inputs.
 
-A :class:`CNF` built from outside (``CNF(...)``) is checked clause by
-clause and the first fault is named.  :func:`tseitin` instead checks its
-circuit gate by gate as it encodes it, and so builds its formula without
-rescanning the literals it made.
+Every clause of a :class:`CNF` is normal: no variable occurs twice in it.
+``CNF(...)`` checks a formula from outside clause by clause, names the
+first fault, and normalizes: repeated literals dropped (first occurrences
+kept), tautologies removed.  :func:`tseitin` checks its circuit gate by
+gate instead, emits normal clauses (a gate reading one wire twice is
+encoded exactly: AND and OR copy it, XOR is false), and so builds its
+formula without rescanning the literals it made.
 """
 
 from __future__ import annotations
@@ -48,11 +51,16 @@ class CNF:
         n = self.num_vars
         if n < 0:
             raise ValueError("negative variable count")
+        normal = True
         for clause in self.clauses:
             if not clause:
                 raise ValueError("empty clause")
             if any(lit == 0 or abs(lit) > n for lit in clause):
                 raise ValueError("literal out of range")
+            normal = normal and len(set(map(abs, clause))) == len(clause)
+        if not normal:  # drop repeated literals (first occurrences kept), then tautologies
+            kept = (tuple(dict.fromkeys(clause)) for clause in self.clauses)
+            self.clauses = [c for c in kept if not any(-lit in c for lit in c)]
 
 
 def tseitin(circuit) -> CNF:
@@ -81,7 +89,9 @@ def tseitin(circuit) -> CNF:
         b += 1
         if not (0 < a < g and 0 < b < g):
             raise ValueError(f"gate wire {g - 1} reads wires {a - 1}, {b - 1}, not both earlier")
-        if op == "and":
+        if a == b:  # one wire read twice: AND and OR copy it, XOR is false
+            add(((-g,),) if op == "xor" else ((-g, a), (g, -a)))
+        elif op == "and":
             add(((-g, a), (-g, b), (g, -a, -b)))
         elif op == "or":
             add(((g, -a), (g, -b), (-g, a, b)))

@@ -158,10 +158,11 @@ class MPrimeRelation:
 
 
 def witness_from_json(obj: dict, crs: CRS) -> MPrimeWitness:
+    """``inner``, and ``openings``: one per party, hex or null (all null if absent)."""
     inner = obj.get("inner")
     if inner is not None:
         inner = tuple(tuple(e) if isinstance(e, list) else e for e in inner)
-    return MPrimeWitness(
-        openings=tuple(opening_from_json(o, crs) for o in obj["openings"]),
-        inner=inner,
-    )
+    openings = tuple(opening_from_json(o, crs) for o in obj.get("openings", (None,) * crs.n))
+    if len(openings) != crs.n:
+        raise ValueError(f"{len(openings)} openings for {crs.n} parties")
+    return MPrimeWitness(openings=openings, inner=inner)

@@ -13,8 +13,9 @@ Two entry points with different scope:
 
 Both solvers return a full assignment (list of bools, variable v at
 index v-1) or None for unsatisfiable; SAT answers are re-verified
-against the clause set before being returned.  :func:`solve_cnf` runs
-with the cyclic garbage collector paused (``cnf.gc_paused``).
+against the clause set before being returned.  :func:`solve_cnf` watches
+the clauses as the :class:`CNF` holds them, normal by construction, and
+runs with the cyclic garbage collector paused (``cnf.gc_paused``).
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
 
     ``max_conflicts`` guards runaway instances (RuntimeError when hit).  No
     search state outlives the call, so it runs with the collector paused.
-    Set-up copies each clause and calls it normal when no variable occurs
-    twice in it: pairwise literal comparisons for 2 and 3 literals (so
-    Tseitin's clauses build no set), a set of variables for more.  Normal
-    clauses are watched as they are; the rest drop repeated literals (first
-    occurrences kept), tautologies are skipped, and a lone literal is a unit.
+    Every :class:`CNF` holds normal clauses (no variable twice in one), so
+    set-up watches each clause as given, on a copy's first two literals,
+    and a one-literal clause is a unit.
     Literals are the CNF's signed ints: ``val``, ``level``, ``reason``,
     ``seen`` and ``watches`` are indexed by the literal itself (size
     2*nv+1, so a negative literal addresses the tail), the first four at
@@ -85,27 +84,11 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
     watches: list[list[list[int]]] = [[] for _ in range(size)]
     initial_units: list[int] = []
     for c in map(list, cnf.clauses):
-        n = len(c)
-        if n == 2:
-            a, b = c
-            normal = a != b != -a
-        elif n == 3:
-            a, b, d = abs(c[0]), abs(c[1]), abs(c[2])
-            normal = a != b and a != d and b != d
+        if len(c) == 1:
+            initial_units.append(c[0])
         else:
-            normal = n > 3 and len(set(map(abs, c))) == n
-        if not normal:
-            # Units, repeated literals, tautologies: drop repeats, keep order.
-            c = list(dict.fromkeys(c))
-            if any(-lit in c for lit in c):
-                continue
-            if not c:
-                return None
-            if len(c) == 1:
-                initial_units.append(c[0])
-                continue
-        watches[c[0]].append(c)
-        watches[c[1]].append(c)
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
     trail: list[int] = []
     trail_lim: list[int] = []
     activity = [0.0] * (nv + 1)

@@ -252,6 +252,7 @@ def test_recon_with_witness_file(workdir):
 @pytest.mark.parametrize("witness", [
     '{"openings": [], "inner": 5}', '{"inner": 5}', '{"openings": 5}', '{"openings": [5]}',
     '{"openings": null}', '{"openings": ["zz", null, null]}', "[1, 2]", '"x"', "null",
+    '{"inner": null, "bogus": 1}', '{"openings": [null]}', '{"openings": [null, null, null, null]}',
 ])
 def test_recon_malformed_witness_exit_2(workdir, capsys, witness):
     out = workdir / "deal"
@@ -466,6 +467,19 @@ def test_malformed_config_exit_2_with_one_line(workdir, capsys, command, config)
     assert captured.out == ""
     assert re.fullmatch(r"error: [^\n]+\n", captured.err), captured.err
     assert not (workdir / "x").exists()
+
+
+def test_default_planted_position_binds_hybrid_alone(workdir, capsys):
+    # the default planted_position (3) is hybrid's: another game with n = 2 runs
+    (workdir / "ind.json").write_text(json.dumps({**THRESHOLD3, "n": 2, "trials": 100}))
+    assert run("experiment", "ind", "--config", workdir / "ind.json") == EXIT_OK
+    capsys.readouterr()
+    (workdir / "hyb.json").write_text(json.dumps({**THRESHOLD3, "game": "hybrid", "n": 2}))
+    assert run("experiment", "--config", workdir / "hyb.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: planted_position must be an integer in 1..2, "
+                            "got the default 3\n")
 
 
 @pytest.mark.parametrize("command,config", [
@@ -818,8 +832,11 @@ def test_recon_fuzzed_witness_files_exit_cleanly(witness_dealings, data):
     out, n = witness_dealings[data.draw(st.sampled_from(sorted(witness_dealings)))]
     parties = sorted(data.draw(st.one_of(st.just(range(1, n + 1)),
                                          st.sets(st.integers(1, n), min_size=1))))
+    # openings of any shape, or one per party, so that each is parsed
+    openings = st.one_of(WITNESS_VALUES, st.lists(WITNESS_VALUES, min_size=n, max_size=n),
+                         st.just([None] * n))
     witness = {key: data.draw(values) for key, values in (("inner", INNER_VALUES),
-                                                          ("openings", WITNESS_VALUES))
+                                                          ("openings", openings))
                if data.draw(st.booleans())}
     path = out.parent / "wit.json"
     path.write_text(json.dumps(witness))
@@ -830,6 +847,89 @@ def test_recon_fuzzed_witness_files_exit_cleanly(witness_dealings, data):
     assert code in {EXIT_OK, EXIT_CONFIG, EXIT_REJECTED}, (code, witness)
     assert "Traceback" not in err.getvalue()
 
+
+# The deal configs and structure descriptions the tests above write.  Their
+# sizes are small, and a mutated integer is either at most 9 or far past
+# every size bound, so every example deals or checks in well under a second.
+FUZZ_STRUCTURES = [{"kind": "threshold", "n": 3, "payload": 2}, HAMILTONIAN4, MATCHING4, CIRCUIT5]
+FUZZ_DEAL_CONFIGS = [
+    {"structure": FUZZ_STRUCTURES[0], "k": 8, "backend": "idealized", "master_seed": 11},
+    {"structure": HAMILTONIAN4, "backend": "cnf", "lam": 16},
+    {"structure": MATCHING4, "backend": "leaky", "expansion": "toy"},
+    {"structure": CIRCUIT5, "backend": "cnf", "k": 8, "master_seed": 5},
+]
+
+
+@st.composite
+def json_mutation(draw, doc):
+    """``doc`` with one node dropped, retyped, set to an integer, or given
+    an unknown key; the root itself may be retyped."""
+    nodes = dict(_nodes(doc))
+    kind = draw(st.sampled_from(["drop", "retype", "int", "unknown-key"]))
+    if kind == "drop":
+        choices = [p for p in nodes if p]
+    elif kind == "unknown-key":
+        choices = [p for p, v in nodes.items() if isinstance(v, dict)]
+    else:
+        choices = list(nodes)
+    path = draw(st.sampled_from(choices))
+    old = nodes[path]
+    if kind == "retype":
+        new = draw(JSON_VALUES.filter(lambda v: _json_type(v) is not _json_type(old)))
+    elif kind == "int":
+        new = draw(st.one_of(st.integers(-2, 9), st.integers(10**7, 10**20)))
+    elif kind == "unknown-key":
+        new = {**old, draw(st.text(max_size=3).filter(lambda k: k not in old)): draw(JSON_VALUES)}
+    if not path:
+        return new
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "secret.bin").write_bytes(b"four")
+    return root
+
+
+def run_quietly(*argv):
+    """Exit code and stderr of one CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_deal_fuzzed_configs_exit_cleanly(fuzz_dir, data):
+    config = data.draw(json_mutation(data.draw(st.sampled_from(FUZZ_DEAL_CONFIGS))))
+    (fuzz_dir / "cfg.json").write_text(json.dumps(config))
+    code, err = run_quietly("deal", "--config", fuzz_dir / "cfg.json",
+                            "--secret", fuzz_dir / "secret.bin", "--out", fuzz_dir / "deal")
+    assert code in range(6), (code, config)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_structure_check_fuzzed_descriptions_exit_cleanly(fuzz_dir, data):
+    structure = data.draw(json_mutation(data.draw(st.sampled_from(FUZZ_STRUCTURES))))
+    mode = data.draw(st.sampled_from(["exhaustive", "sampled"]))
+    trials = data.draw(st.integers(-1, 200))
+    (fuzz_dir / "s.json").write_text(json.dumps(structure))
+    code, err = run_quietly("structure", "check", "--structure", fuzz_dir / "s.json",
+                            "--mode", mode, "--trials", trials)
+    assert code in range(6), (code, structure, mode, trials)
+    assert "Traceback" not in err
 
 def test_experiment_dprime_golden_report(workdir):
     # golden values of the CLI's seed lanes: swapping the two D' lanes or

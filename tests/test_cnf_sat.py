@@ -225,7 +225,9 @@ def honest_circuit(structure):
 def test_tseitin_of_compiled_instances_is_golden(structure, digest):
     circuit = honest_circuit(structure)
     assert_same_encoding(circuit)
-    assert hashlib.sha256(dimacs(tseitin(circuit)).encode()).hexdigest() == digest
+    cnf = tseitin(circuit)
+    assert hashlib.sha256(dimacs(cnf).encode()).hexdigest() == digest
+    assert all(map(is_normal, cnf.clauses))
 
 
 def per_clause_fault(num_vars, clauses):
@@ -353,7 +355,8 @@ def test_sat_brute_force_budget():
         enumerate_sat(CNF(21, [(1,)]))
 
 
-def random_cnf(rng, n_vars, n_clauses, width=3):
+def random_clauses(rng, n_vars, n_clauses, width=3):
+    """Clauses of 1..width random literals, repeats and tautologies included."""
     clauses = []
     for _ in range(n_clauses):
         size = 1 + rng.randrange(width)
@@ -362,7 +365,11 @@ def random_cnf(rng, n_vars, n_clauses, width=3):
             v = 1 + rng.randrange(n_vars)
             clause.append(v if rng.bit() else -v)
         clauses.append(tuple(clause))
-    return CNF(n_vars, clauses)
+    return clauses
+
+
+def random_cnf(rng, n_vars, n_clauses, width=3):
+    return CNF(n_vars, random_clauses(rng, n_vars, n_clauses, width))
 
 
 def test_solvers_agree_on_random_cnfs():
@@ -560,18 +567,18 @@ def test_solve_cnf_normalizes_clauses(formula, expected):
     assert solve_cnf(formula) == expected
 
 
-def ref_normalize(cnf):
-    """The clause set solve_cnf must search: tautologies dropped, repeated
-    literals removed keeping first occurrences."""
+def ref_normalize(num_vars, raw_clauses):
+    """The clause set CNF must hold and solve_cnf search: tautologies
+    dropped, repeated literals removed keeping first occurrences."""
     clauses = []
-    for clause in cnf.clauses:
+    for clause in raw_clauses:
         kept = []
         for lit in clause:
             if lit not in kept:
                 kept.append(lit)
         if not any(-lit in kept for lit in kept):
             clauses.append(tuple(kept))
-    return CNF(cnf.num_vars, clauses)
+    return CNF(num_vars, clauses)
 
 
 def clause_kind(clause):
@@ -606,13 +613,57 @@ def test_solve_cnf_normalization_matches_reference(monkeypatch):
     answers = set()
     for trial in range(600):
         rng = Stream(derive_seed(0x4E0F, trial))
-        raw = random_cnf(rng, 1 + rng.randrange(8), 1 + rng.randrange(30), width=6)
-        kinds.update((min(len(c), 4), clause_kind(c)) for c in raw.clauses)
+        n_vars = 1 + rng.randrange(8)
+        clauses = random_clauses(rng, n_vars, 1 + rng.randrange(30), width=6)
+        kinds.update((min(len(c), 4), clause_kind(c)) for c in clauses)
+        raw, ref = CNF(n_vars, clauses), ref_normalize(n_vars, clauses)
+        assert raw.clauses == ref.clauses, trial
         result = search(raw)
-        assert result == search(ref_normalize(raw)), trial
+        assert result == search(ref), trial
         answers.add(result[0] is None)
     assert answers == {True, False}
     assert {(w, k) for w in (2, 3, 4) for k in ("normal", "repeat", "tautology")} <= kinds
+
+
+def is_normal(clause):
+    return len(set(map(abs, clause))) == len(clause)
+
+
+def test_cnf_keeps_the_callers_list_when_every_clause_is_normal():
+    for num_vars, clauses in ((4, [(1,), (-2, 3), [1, -4, 2], (4, 3, -2, 1)]), (1, [(1,), (-1,)]),
+                              (0, [])):
+        assert CNF(num_vars, clauses).clauses is clauses
+
+
+@pytest.mark.parametrize("clauses, normalized", [
+    ([(1, 1, -2), (-1,)], [(1, -2), (-1,)]),
+    ([(1, -1, 2), (-2, 3, -2), (2, -3)], [(-2, 3), (2, -3)]),
+    ([(2, 2), (-1, 2), [3, -1, 3, 3]], [(2,), (-1, 2), (3, -1)]),
+    ([(1, -1)], []),
+])
+def test_cnf_normalizes_abnormal_clauses_into_a_new_list(clauses, normalized):
+    before = [tuple(c) for c in clauses]
+    cnf = CNF(3, clauses)
+    assert cnf.clauses == normalized and cnf.clauses is not clauses
+    assert [tuple(c) for c in clauses] == before
+
+
+def test_tseitin_encodes_a_wire_read_twice_exactly():
+    # Builder folds these gates away; a hand-built circuit keeps them.
+    for op in ("and", "or", "xor"):
+        for gates, output in (([(op, 0, 0)], 2), ([(op, 1, 1), ("or", 2, 0)], 3),
+                              ([("not", 0), (op, 2, 2), ("and", 3, 1)], 4)):
+            circuit = BooleanCircuit(2, gates, output)
+            cnf = tseitin(circuit)
+            assert all(map(is_normal, cnf.clauses)), (op, gates)
+            accepted = {packed for packed in range(4)
+                        if eval_wires(circuit, [(packed >> i) & 1 for i in range(2)])[output]}
+            projected = set()
+            for packed in range(1 << cnf.num_vars):
+                assignment = [bool((packed >> i) & 1) for i in range(cnf.num_vars)]
+                if check_assignment(cnf, assignment):
+                    projected.add(sum(1 << i for i in range(2) if assignment[i]))
+            assert projected == accepted, (op, gates)
 
 
 def test_cnf_rejects_negative_variable_count():
