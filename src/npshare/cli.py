@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -177,8 +178,7 @@ def cmd_structure_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _experiment_context(config, seed) -> tuple:
-    structure = _parse_structure(_get(config, "structure", dict, None))
+def _experiment_context(config, structure, seed) -> tuple:
     ctx = harness.SchemeContext.create(structure, seed=seed, **_scheme_options(config, "leaky"))
     secret_len = _get(config, "secret_len", int, 4, lambda v: 1 <= v <= 64, "an integer in 1..64")
     sampler_cfg = _get(config, "sampler", dict, {"kind": "mixed"})
@@ -197,6 +197,23 @@ def _experiment_context(config, seed) -> tuple:
 
 
 GAMES = ("ind", "sem", "dprime", "hybrid", "equiv")
+MAX_WORK_UNITS = 2 * 10**6  # each size key is bounded, but an experiment costs their product
+
+
+def work_units(game: str, n: int, trials: int, runs: int, eps: float) -> int:
+    """An experiment's worst-case count of units, from its loops' own bounds:
+    ``dver`` calls for dprime (two D' per run, each up to ceil(n/eps) rounds
+    of one mest and one more ``dver`` once a mest fires), trials for ind, sem
+    and equiv, n-sample lists for hybrid.  ``n`` is the structure's party
+    count, or the config's ``n`` for hybrid.  Above MAX_WORK_UNITS it is a
+    ConfigError."""
+    if game == "dprime":
+        units = 2 * runs * (math.ceil(n / eps) * 2 * harness.mest_iterations(eps, n) + 1)
+    else:
+        units = (n + 1) * trials if game == "hybrid" else trials
+    if units > MAX_WORK_UNITS:
+        raise ConfigError(f"{game} needs up to {units} work units, over the cap {MAX_WORK_UNITS}")
+    return units
 
 
 def _run_experiment(config, seed) -> dict:
@@ -213,13 +230,16 @@ def _run_experiment(config, seed) -> dict:
     if game not in GAMES:
         raise ConfigError(f"unknown game {game!r}")
     if game == "hybrid":
+        work_units(game, n, trials, runs, eps)
         loc = harness.hybrid_locate(
             harness.position_detector(position, gap, n), n, trials,
             master_seed=seed, sample_source=harness.transparent_sample_source,
             delta=delta,
         )
         return loc.to_json()
-    ctx, sampler, D, secret_len = _experiment_context(config, seed)
+    structure = _parse_structure(_get(config, "structure", dict, None))
+    work_units(game, structure.n, trials, runs, eps)
+    ctx, sampler, D, secret_len = _experiment_context(config, structure, seed)
     if game == "ind":
         report = harness.ind_game(ctx, sampler, D, trials, master_seed=seed, delta=delta)
         return report.to_json()

@@ -30,7 +30,8 @@ from .commitments import (
 from .structures import AccessStructure, PartySet, inner_witnesses, verify, witness_space_size
 
 
-@dataclass(frozen=True)
+# not frozen: built once per dealing, never mutated, and frozen __init__ costs 2-3x
+@dataclass(unsafe_hash=True)
 class MPrimeInstance:
     crs: CRS
     commitments: tuple[Commitment, ...]

@@ -40,7 +40,8 @@ class MissingShareError(ValueError):
     """A member of X has no share in the provided subset."""
 
 
-@dataclass(frozen=True)
+# not frozen: built n times per dealing, never mutated, and frozen __init__ costs 2-3x
+@dataclass(unsafe_hash=True)
 class Share:
     party: int
     opening: Opening
@@ -72,7 +73,7 @@ class Share:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Dealing:
     shares: tuple[Share, ...]
     public: MPrimeInstance

@@ -981,6 +981,101 @@ def test_experiment_game_golden_report(workdir, game, distinguisher):
     assert digest == GOLDEN_REPORTS[game, distinguisher]
 
 
+@pytest.mark.parametrize("game, extra", [
+    ("ind", {}), ("sem", {}), ("equiv", {}), ("hybrid", {"n": 4, "trials": 30}),
+    ("dprime", {"runs": 2, "epsilon": 1}),
+])
+def test_work_units_equal_a_direct_count_of_the_games_loop(workdir, monkeypatch, game, extra):
+    """Counts trials, hybrid lists and ``dver`` calls as the loops run them;
+    each D''s mest fires at its last round (n / epsilon = 3), the worst case."""
+    units, mest_calls = [], []
+    real = {name: getattr(harness, name) for name in ("_game", "dver", "mest",
+                                                      "position_detector")}
+
+    def counted(fn):
+        def wrapped(*args):
+            units.append(1)
+            return fn(*args)
+        return wrapped
+
+    def mest(*args):
+        real["mest"](*args)
+        mest_calls.append(1)
+        return 1 if len(mest_calls) % 3 == 0 else 0
+
+    monkeypatch.setattr(harness, "_game", lambda g, scheme, trial, *rest: real["_game"](
+        g, scheme, counted(trial), *rest))
+    monkeypatch.setattr(harness, "dver", counted(real["dver"]))
+    monkeypatch.setattr(harness, "mest", mest)
+    monkeypatch.setattr(harness, "position_detector",
+                        lambda *args: counted(real["position_detector"](*args)))
+    config = {**GAME_CONFIG, "game": game, **extra}
+    (workdir / "w.json").write_text(json.dumps(config))
+    assert run("experiment", "--config", workdir / "w.json") == EXIT_OK
+    assert len(units) == cli.work_units(game, config.get("n", 3), config["trials"],
+                                        config.get("runs", 50), config.get("epsilon", 0.3))
+    assert units and (game != "dprime" or len(mest_calls) == 2 * 2 * 3)
+
+
+def test_work_units_accept_every_shipped_config_and_the_cap_itself():
+    demos = {path.name: json.loads(path.read_text())
+             for path in (ROOT / "demos" / "configs").glob("*.json")}
+    counts = {name: cli.work_units(cfg["game"], cfg["structure"]["n"], cfg.get("trials", 1000),
+                                   cfg.get("runs", 50), cfg["epsilon"])
+              for name, cfg in demos.items()}
+    assert counts == {"dprime_demo.json": 2 * 40 * (20 * 2 * 80 + 1), "ind_demo.json": 1000}
+    # the largest config a test reads: test_rng's lane test, 1,000 dprime runs (stubbed)
+    assert cli.work_units("dprime", 3, 1000, 1000, 0.3) == 2 * 1000 * (10 * 2 * 40 + 1)
+    cap = cli.MAX_WORK_UNITS
+    assert cli.work_units("ind", 3, cap, 1, 0.3) == cap
+    assert cli.work_units("hybrid", 9, cap // 10, 1, 0.3) == cap
+    with pytest.raises(ConfigError):
+        cli.work_units("sem", 3, cap + 1, 1, 0.3)
+
+
+@pytest.mark.parametrize("config, units", [
+    ({**THRESHOLD3, "trials": cli.MAX_WORK_UNITS + 1}, cli.MAX_WORK_UNITS + 1),
+    ({"game": "hybrid", "n": 64, "trials": 10**12}, 65 * 10**12),
+    ({**THRESHOLD3, "game": "dprime", "structure": {**THRESHOLD128, "n": 127}},
+     2 * 50 * (424 * 2 * 1694 + 1)),
+], ids=["ind-trials", "hybrid-trials", "dprime-n-127"])
+def test_experiment_over_the_work_cap_exits_2_with_one_line(workdir, monkeypatch, capsys,
+                                                            config, units):
+    monkeypatch.setattr(harness.SchemeContext, "create", None)  # refused before any set-up
+    (workdir / "big.json").write_text(json.dumps(config))
+    assert run("experiment", "--config", workdir / "big.json") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    game = config.get("game", "ind")
+    assert captured.out == ""
+    assert captured.err == (f"error: {game} needs up to {units} work units, "
+                            f"over the cap {cli.MAX_WORK_UNITS}\n")
+
+
+# The experiment configs the tests above write, kept small: a mutated integer
+# is at most 9 or at least 10^7, past every bound and the work cap, so every
+# example runs well under a second, a dropped key's default (1,000 trials,
+# 50 runs, epsilon 0.3) included.
+FUZZ_EXPERIMENT_CONFIGS = [
+    {**GAME_CONFIG, "master_seed": 3, "distinguisher": "leak-reader", "game": "ind"},
+    {**GAME_CONFIG, "game": "sem", "secret_len": 2},
+    {**GAME_CONFIG, "game": "equiv", "sampler": {"kind": "mixed", "p_unqualified": 0.5}},
+    {**GAME_CONFIG, "game": "dprime", "runs": 3, "epsilon": 1, "k": 8, "lam": 16},
+    {**GAME_CONFIG, "game": "hybrid", "n": 4, "planted_position": 3, "planted_gap": 0.8,
+     "delta": 0.01},
+    {"structure": MATCHING4, "backend": "leaky", "trials": 100, "distinguisher": "shape-reader"},
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_experiment_fuzzed_configs_exit_cleanly(fuzz_dir, data):
+    config = data.draw(json_mutation(data.draw(st.sampled_from(FUZZ_EXPERIMENT_CONFIGS))))
+    (fuzz_dir / "exp.json").write_text(json.dumps(config))
+    code, err = run_quietly("experiment", "--config", fuzz_dir / "exp.json")
+    assert code in range(6), (code, config)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name, factory, args", [
     ("leak-reader", "leak_reader", ()),
     ("constant-0", "constant_distinguisher", (0,)),

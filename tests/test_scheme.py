@@ -1,5 +1,7 @@
 """Dealing and reconstruction: completeness, serialization, error paths."""
 
+import dataclasses
+
 import pytest
 
 from npshare import serde
@@ -8,6 +10,7 @@ from npshare.rng import Stream, derive_seed
 from npshare.scheme import (
     MissingShareError,
     MixedDealingError,
+    SchemeContext,
     recon,
     setup,
     share_parse,
@@ -44,6 +47,38 @@ def test_setup_deterministic():
     c = setup(threshold_structure(3, 2), b"abcd", Stream(43))
     assert serde.canonical_json_bytes(a.to_json()) != serde.canonical_json_bytes(c.to_json())
     assert all(share_serialize(s) != share_serialize(t) for s, t in zip(a.shares, c.shares))
+
+
+PER_DEAL_VALUES = {
+    "Opening": lambda dealing: dealing.shares[0].opening,
+    "Commitment": lambda dealing: dealing.public.commitments[0],
+    "Share": lambda dealing: dealing.shares[0],
+    "MPrimeInstance": lambda dealing: dealing.public,
+    "Dealing": lambda dealing: dealing,
+}
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", PER_DEAL_VALUES)
+def test_per_deal_values_compare_and_hash_by_their_fields(name):
+    ctx = SchemeContext.create(threshold_structure(3, 2), seed=5, backend="leaky")
+    x, y, other = (PER_DEAL_VALUES[name](ctx.deal(b"abcd", Stream(seed)))
+                   for seed in (9, 9, 10))
+    assert type(x).__name__ == name
+    assert x is not y and x == y and x != other
+    # the frozen dataclass rule: the hash of the field tuple, or its TypeError
+    fields = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    assert _hash_or_error(x) == _hash_or_error(y) == _hash_or_error(fields)
+    if name in ("Share", "Dealing"):  # a ciphertext renders its payload lazily: no hash
+        assert _hash_or_error(x) == "unhashable type: 'WECiphertext'"
+    else:
+        assert {x, y, other} == {x, other} and {x: 1}[y] == 1
 
 
 def test_recon_threshold():
