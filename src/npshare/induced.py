@@ -109,15 +109,16 @@ def assemble_witness(X: PartySet, openings_by_party, inner) -> MPrimeWitness:
 WITNESS_BUDGET = 250_000  # inner witnesses exhaustive search may enumerate
 
 
-def _openable(inst: MPrimeInstance) -> dict[int, int]:
-    """``{i: Opening.bits}`` for the positions opening to their own index, by one
-    :meth:`CRS.invert`; refused above k = 10 or past :data:`WITNESS_BUDGET`.  Search
-    over this maximal set is complete since every shipped verifier is monotone."""
+def _openable(inst: MPrimeInstance, known=()) -> dict[int, int]:
+    """``{i: Opening.bits}`` for the positions outside ``known`` opening to their
+    own index, by one :meth:`CRS.invert`; refused above k = 10 or past
+    :data:`WITNESS_BUDGET`, whatever ``known`` is.  Search over this set plus
+    ``known``, the maximal one, is complete since every shipped verifier is monotone."""
     if inst.crs.k > 10:
         raise ValueError("exhaustive search limited to k <= 10")
     if witness_space_size(inst.structure) > WITNESS_BUDGET:
         raise ValueError("inner-witness space exceeds the search budget")
-    return inst.crs.invert(enumerate(inst.commitments, 1))
+    return inst.crs.invert((i, com) for i, com in enumerate(inst.commitments, 1) if i not in known)
 
 
 def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
@@ -134,12 +135,14 @@ class MPrimeRelation:
     """Relation wrapper handed to the witness-encryption backends; ``tag``
     is the ``"type"`` of the JSON object :meth:`describe` returns, by which
     ``we.load_relation`` rebuilds it.  Nothing is cached here or on the
-    instance: a ciphertext keeps the digest it reads."""
+    instance: a ciphertext keeps the digest it reads.  ``known`` holds
+    positions known to open to their own index (the dealer's own
+    commitments); :meth:`in_language` does not invert them."""
 
     tag = "mprime"
 
-    def __init__(self, instance: MPrimeInstance):
-        self.instance = instance
+    def __init__(self, instance: MPrimeInstance, known=()):
+        self.instance, self.known = instance, known
 
     def instance_digest(self) -> str:
         return self.instance.digest()
@@ -152,7 +155,8 @@ class MPrimeRelation:
     def in_language(self) -> bool:
         """``exhaustive_witness_search(instance) is not None``, building no witness."""
         inst = self.instance  # an inner witness may be None, so not any(...)
-        return any(True for _ in inner_witnesses(inst.structure, _openable(inst)))
+        opens = self.known | _openable(inst, self.known).keys()
+        return any(True for _ in inner_witnesses(inst.structure, opens))
 
     def describe(self) -> dict:
         return {"instance": self.instance.to_json(), "type": self.tag}

@@ -83,9 +83,12 @@ class Dealing:
         return {"format": DEALING_FORMAT, "instance": self.public.to_json()}
 
 
-def relation_for(inst: MPrimeInstance, backend: str):
-    """The relation object a backend encrypts against."""
-    return (CnfMPrimeRelation if backend == "cnf" else MPrimeRelation)(inst)
+def relation_for(inst: MPrimeInstance, backend: str, known=()):
+    """The relation object a backend encrypts against; the leaky one does not
+    invert the positions in ``known``, which the caller knows to open."""
+    if backend == "cnf":
+        return CnfMPrimeRelation(inst)
+    return MPrimeRelation(inst, known if backend == "leaky" else ())
 
 
 def default_expansion(backend: str) -> str:
@@ -125,7 +128,9 @@ class SchemeContext:
         randomness; party i is committed to i.  Given input ``commitments``
         and ``X`` (read only with them), a party outside X keeps its input
         commitment and gets no share, and its opening's draw is dropped; the
-        input commitment of a member of X is never read."""
+        input commitment of a member of X is never read.  The positions the
+        dealer commits itself are known to open, so the leaky relation does
+        not invert them."""
         if not secret:
             raise ValueError("secret must be non-empty")
         n, crs = self.n, self.crs
@@ -139,7 +144,7 @@ class SchemeContext:
                                 crs, rng, openings)
         inst = MPrimeInstance(crs=crs, structure=self.structure, commitments=tuple(
             com if com is not None else given for com, given in zip(fresh, commitments)))
-        ct = self.encrypt(inst, secret, rng)
+        ct = self.encrypt(inst, secret, rng, known=openings.keys())
         return Dealing(public=inst, shares=tuple(
             Share(party=i, opening=op, ciphertext=ct, crs=crs)
             for i, op in openings.items()))
@@ -150,8 +155,8 @@ class SchemeContext:
     def a1_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
         return commitment_list(range(self.n + 1, 2 * self.n + 1), self.crs, rng)
 
-    def encrypt(self, inst: MPrimeInstance, secret: bytes, rng: Stream):
-        return we_encrypt(self.backend, self.lam, relation_for(inst, self.backend), secret, rng)
+    def encrypt(self, inst: MPrimeInstance, secret: bytes, rng: Stream, known=()):
+        return we_encrypt(self.backend, self.lam, relation_for(inst, self.backend, known), secret, rng)
 
 
 def setup(

@@ -167,6 +167,8 @@ class MonotoneCircuit:
 
     @classmethod
     def from_json(cls, n_std: int, obj: dict) -> "MonotoneCircuit":
+        if unknown := sorted(obj.keys() - {"free", "gates", "output"}):
+            raise ValueError(f"unknown payload keys {unknown}")
         return cls(
             n_std=n_std,
             n_free=serde.require(obj, "free", int),
@@ -204,6 +206,8 @@ class AccessStructure:
     @classmethod
     def from_json(cls, obj: dict) -> "AccessStructure":
         kind, n = serde.require(obj, "kind", str), serde.require(obj, "n", int)
+        if unknown := sorted(obj.keys() - {"kind", "n", "payload"}):
+            raise ValueError(f"unknown keys {unknown}")
         if kind == "monotone-circuit":
             return cls(kind, n, MonotoneCircuit.from_json(n, serde.require(obj, "payload", dict)))
         return cls(kind, n, serde.require(obj, "payload", int))

@@ -1107,6 +1107,43 @@ def test_experiment_unknown_name_exit_2(workdir, capsys, extra, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("structure, message", [
+    ({"kind": "threshold", "n": 4, "payload": 2, "bogus": 1}, "unknown keys ['bogus']"),
+    ({**CIRCUIT5, "payload": {**CIRCUIT5["payload"], "bogus": 1}},
+     "unknown payload keys ['bogus']"),
+], ids=["top-level", "circuit-payload"])
+@pytest.mark.parametrize("command", ["structure", "deal", "experiment"])
+def test_unknown_structure_key_exit_2_with_one_line(workdir, capsys, command, structure, message):
+    """Every reader of a structure description refuses a key it does not know."""
+    path = workdir / "u.json"
+    if command == "structure":
+        path.write_text(json.dumps(structure))
+        argv = ("structure", "check", "--structure", path)
+    elif command == "deal":
+        path.write_text(json.dumps({"structure": structure, "backend": "leaky"}))
+        argv = ("deal", "--config", path, "--secret", workdir / "secret.bin", "--out", workdir / "x")
+    else:
+        path.write_text(json.dumps({**GAME_CONFIG, "structure": structure}))
+        argv = ("experiment", "--config", path)
+    assert run(*argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad structure description: {message}\n"
+    assert not (workdir / "x").exists()
+
+
+def test_recon_share_whose_embedded_structure_has_an_unknown_key_exit_2(dealt, capsys):
+    """The embedded instance is read by the same strict reader: CorruptCiphertext."""
+    root, (share, _) = dealt
+    doc = _decode_payload(share)
+    doc["ciphertext"]["payload"]["relation"]["instance"]["structure"]["bogus"] = 1
+    (root / "bogus.json").write_text(json.dumps(_encode_payload(doc)))
+    assert run("recon", "--parties", "1", root / "bogus.json") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: embedded relation does not load") and "'bogus'" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_experiment_unknown_game_builds_no_scheme(workdir, monkeypatch, capsys):
     def create(*args, **kwargs):
         raise AssertionError("a scheme was built for an unknown game")

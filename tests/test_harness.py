@@ -208,9 +208,9 @@ def test_dver_draws_an_opening_per_party_before_encryption(leaky6, members):
     ctx = SchemeContext(structure=leaky6.structure, crs=leaky6.crs, backend="idealized")
     rec, marks = RecordingStream(5), []
 
-    def encrypt(inst, secret, rng):
+    def encrypt(inst, secret, rng, known=()):
         marks.append(len(rng.words))
-        return SchemeContext.encrypt(ctx, inst, secret, rng)
+        return SchemeContext.encrypt(ctx, inst, secret, rng, known)
 
     def D(s0, s1, shares, sigma, rng):
         for share in shares:

@@ -1,12 +1,20 @@
 """The induced commitment-vector language and its exhaustive search."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
 
 from npshare import serde
-from npshare.commitments import commit, crs_gen, find_opening, sample_opening, supports_disjoint
+from npshare.commitments import (
+    CRS,
+    commit,
+    crs_gen,
+    find_opening,
+    sample_opening,
+    supports_disjoint,
+)
 from npshare.induced import (
     MPrimeInstance,
     MPrimeRelation,
@@ -29,7 +37,7 @@ from npshare.structures import (
     threshold_structure,
     verify,
 )
-from npshare.we import WECiphertext, _payload, we_encrypt
+from npshare.we import WECiphertext, _payload, leak_message, we_encrypt
 
 
 def honest_instance(structure, seed, k=8, expansion="splitmix64"):
@@ -280,8 +288,80 @@ def test_search_and_in_language_build_no_party_set(monkeypatch):
     (hamiltonian_structure(10), 8, "inner-witness space exceeds the search budget"),
 ])
 def test_in_language_refuses_what_exhaustive_search_refuses(structure, k, message):
-    ctx = SchemeContext.create(structure, seed=3, k=k)
+    """The refusals come first, even where every position is known to open:
+    a leaky dealing with X the full set inverts nothing and still refuses."""
+    ctx = SchemeContext.create(structure, seed=3, k=k, backend="leaky")
     inst = MPrimeInstance(ctx.crs, ctx.a0_commitments(Stream(4)), structure)
-    for decide in (exhaustive_witness_search, lambda i: MPrimeRelation(i).in_language()):
+    everyone = set(range(1, structure.n + 1))
+    for decide in (exhaustive_witness_search, lambda i: MPrimeRelation(i).in_language(),
+                   lambda i: MPrimeRelation(i, everyone).in_language(),
+                   lambda i: ctx.deal(b"s", Stream(5))):
         with pytest.raises(ValueError, match=message):
             decide(inst)
+
+
+def _edges(*pairs):
+    return {edge_index(4, a, b) for a, b in pairs}
+
+
+TRIANGLE = _edges((1, 2), (2, 3), (1, 3))
+# per structure: a larger unqualified set (threshold(6, 2) has none) and a qualified one
+DEALER_SETS = [
+    (threshold_structure(6, 2), None, {1, 4}),
+    (CIRCUIT5, {1, 3, 4}, {1, 2}),
+    (hamiltonian_structure(4), TRIANGLE | _edges((1, 4)), _edges((1, 2), (2, 3), (3, 4), (1, 4))),
+    (matching_structure(4), TRIANGLE, _edges((1, 2), (3, 4))),
+]
+
+
+@pytest.mark.parametrize("structure, unqualified, qualified", DEALER_SETS,
+                         ids=["threshold-6-2", "circuit5", "hamiltonian-4", "matching-4"])
+def test_known_positions_leave_in_language_unchanged(structure, unqualified, qualified):
+    """On leaky dealings over A0 and A1 lists, the relation that skips the
+    dealer's positions, the one that inverts all n and exhaustive search agree,
+    and the dealing's ciphertext leaks exactly when they say yes."""
+    n = structure.n
+    ctx = SchemeContext.create(structure, seed=n, backend="leaky")
+    sets = [set(), {n}, qualified, set(range(1, n + 1))] + ([unqualified] if unqualified else [])
+    seen = set()
+    cases = itertools.product(range(2), (ctx.a0_commitments, ctx.a1_commitments), sets)
+    for t, (_, lists, members) in enumerate(cases):
+        rng = Stream(derive_seed(0x4B, t))
+        dealing = ctx.deal(b"s", rng, lists(rng), PartySet.of(n, members))
+        inst = dealing.public
+        expected = exhaustive_witness_search(inst) is not None
+        assert relation_for(inst, "leaky", members).in_language() is expected
+        assert MPrimeRelation(inst).in_language() is expected
+        for share in dealing.shares:
+            assert (leak_message(share.ciphertext) is not None) is expected
+        seen.add(expected)
+    assert seen == {False, True}
+
+
+def test_the_dealer_inverts_only_the_commitments_it_did_not_make(monkeypatch):
+    """CRS.invert sees no pair of a full-X leaky dealing, exactly the positions
+    outside X of a substituted one, and nothing on the other backends."""
+    received, invert = [], CRS.invert
+
+    def recording(self, pairs):
+        pairs = list(pairs)
+        received.append([i for i, _ in pairs])
+        return invert(self, pairs)
+
+    monkeypatch.setattr(CRS, "invert", recording)
+    structure = threshold_structure(6, 2)
+    ctx = SchemeContext.create(structure, seed=6, backend="leaky")
+    ctx.deal(b"s", Stream(1))
+    assert sum(received, []) == []
+    for members in (set(), {2}, {1, 3, 6}, set(range(1, 7))):
+        received.clear()
+        rng = Stream(2)
+        ctx.deal(b"s", rng, ctx.a1_commitments(rng), PartySet.of(6, members))
+        assert sum(received, []) == [i for i in range(1, 7) if i not in members]
+    received.clear()
+    for backend in ("idealized", "cnf"):
+        other = SchemeContext.create(structure, seed=6, backend=backend)
+        other.deal(b"s", Stream(1))
+        rng = Stream(2)
+        other.deal(b"s", rng, other.a1_commitments(rng), PartySet.of(6, {2}))
+    assert received == []
