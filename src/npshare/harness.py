@@ -63,7 +63,7 @@ def hoeffding_radius(trials: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
 
 
-@functools.lru_cache(maxsize=1 << 15)  # every subset at evaluate's n <= 15 limit
+@functools.lru_cache(maxsize=1 << 15)  # every subset up to n = 15; least recently used beyond
 def qualified(structure: AccessStructure, X: PartySet) -> bool:
     """Ground-truth M(X), decided exhaustively and cached."""
     return evaluate(structure, X, expensive=True)

@@ -27,7 +27,7 @@ from .commitments import (
     opening_from_json,
     verify_opening,
 )
-from .structures import AccessStructure, PartySet, inner_witnesses, verify, witness_space_size
+from .structures import AccessStructure, PartySet, check_witness_budget, inner_witnesses, verify
 
 
 # not frozen: built once per dealing, never mutated, and frozen __init__ costs 2-3x
@@ -106,18 +106,14 @@ def assemble_witness(X: PartySet, openings_by_party, inner) -> MPrimeWitness:
         openings_by_party[i] if i in X else None for i in range(1, X.n + 1)))
 
 
-WITNESS_BUDGET = 250_000  # inner witnesses exhaustive search may enumerate
-
-
 def _openable(inst: MPrimeInstance, known=()) -> dict[int, int]:
     """``{i: Opening.bits}`` for the positions outside ``known`` opening to their
-    own index, by one :meth:`CRS.invert`; refused above k = 10 or past
-    :data:`WITNESS_BUDGET`, whatever ``known`` is.  Search over this set plus
-    ``known``, the maximal one, is complete since every shipped verifier is monotone."""
+    own index, by one :meth:`CRS.invert`; refused above k = 10 or past the witness
+    budget, whatever ``known`` is.  Search over this set plus ``known``, the maximal
+    one, is complete since every shipped verifier is monotone."""
     if inst.crs.k > 10:
         raise ValueError("exhaustive search limited to k <= 10")
-    if witness_space_size(inst.structure) > WITNESS_BUDGET:
-        raise ValueError("inner-witness space exceeds the search budget")
+    check_witness_budget(inst.structure)
     return inst.crs.invert((i, com) for i, com in enumerate(inst.commitments, 1) if i not in known)
 
 

@@ -17,7 +17,9 @@ Four structure kinds ship:
 Witness verifiers are total (malformed witnesses return False, never
 raise) and run in time polynomial in n.  Deciding the Hamiltonian and
 matching predicates, by contrast, is exhaustive witness search and is
-gated behind an explicit ``expensive`` flag.
+gated behind an explicit ``expensive`` flag.  One budget,
+:data:`WITNESS_BUDGET` inner witnesses, bounds every such enumeration: a
+decision, the induced-language search, and a whole monotonicity check.
 
 All verifiers here are monotone in the party set: adding parties never
 invalidates a witness.  The induced-language search relies on this.
@@ -25,7 +27,6 @@ invalidates a witness.  The induced-language search relies on this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -328,29 +329,27 @@ def inner_witnesses(structure: AccessStructure, X: PartySet):
         yield from _perfect_matchings(tuple(range(1, v + 1)), v, X)
 
 
-def witness_space_size(structure: AccessStructure) -> int:
-    """Upper bound on the number of candidate witnesses enumerated."""
-    kind = structure.kind
-    if kind == "threshold":
-        return 1
-    if kind == "monotone-circuit":
-        return 1 << structure.payload.n_free
-    v = structure.payload
-    if kind == "hamiltonian":
-        return math.factorial(v - 1)  # cycles through vertex 1
-    return math.prod(range(v - 1, 0, -2))  # perfect matchings of K_v
+WITNESS_BUDGET = 10**6  # inner witnesses one decision, one search or one whole check may try
 
 
-def _decision_bounds(structure: AccessStructure, expensive: bool) -> None:
-    """Refuse exhaustive decision unless opted into; above n = 15 (v = 6) or 20 free inputs."""
-    kind = structure.kind
-    if kind != "threshold" and (kind != "monotone-circuit" or structure.payload.n_free):
-        if not expensive:
-            raise ValueError(f"deciding a {kind} structure is exhaustive; pass expensive=True")
-        if structure.n > 15:
-            raise ValueError("exhaustive decision limited to n <= 15")
-        if kind == "monotone-circuit" and structure.payload.n_free > 20:
-            raise ValueError("too many free inputs for exhaustive decision")
+def check_witness_budget(structure: AccessStructure, evaluations: int = 1) -> None:
+    """Refuse ``evaluations`` runs of :func:`inner_witnesses` that together may
+    try more than :data:`WITNESS_BUDGET` witnesses.  The space is multiplied in
+    one factor at a time (2 per free input, (v-1)! cycles through vertex 1,
+    (v-1)!! perfect matchings), stopping once past the budget, so no size
+    argument builds a huge integer."""
+    kind, payload = structure.kind, structure.payload
+    factors = ((2 for _ in range(payload.n_free)) if kind == "monotone-circuit" else
+               range(1, payload) if kind == "hamiltonian" else
+               range(payload - 1, 0, -2) if kind == "matching" else ())
+    tried = evaluations
+    for factor in factors:
+        if tried > WITNESS_BUDGET:
+            break
+        tried *= factor
+    if tried > WITNESS_BUDGET:
+        raise ValueError(f"inner-witness budget of {WITNESS_BUDGET} exceeded: "
+                         f"{evaluations} evaluation(s) of this {kind} structure may try more")
 
 
 def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -> bool:
@@ -359,11 +358,16 @@ def evaluate(structure: AccessStructure, X: PartySet, expensive: bool = False) -
     Thresholds and circuits without free inputs have one candidate
     witness.  The NP kinds (and circuits with free inputs) are decided by
     exhaustive witness search, which callers must opt into via
-    ``expensive=True`` (:func:`_decision_bounds`).
+    ``expensive=True``; any kind whose witness space exceeds
+    :data:`WITNESS_BUDGET` is refused (:func:`check_witness_budget`).
     """
     if X.n != structure.n:
         raise ValueError("party set is over a different n than the structure")
-    _decision_bounds(structure, expensive)
+    kind = structure.kind
+    if not expensive and kind != "threshold" and (
+            kind != "monotone-circuit" or structure.payload.n_free):
+        raise ValueError(f"deciding a {kind} structure is exhaustive; pass expensive=True")
+    check_witness_budget(structure)
     for _ in inner_witnesses(structure, X.members):
         return True
     return False
@@ -375,7 +379,6 @@ def _members(packed: int) -> frozenset[int]:
 
 
 SAMPLED_MAX_BITS = 10**6  # n * trials: each trial draws and evaluates two n-bit party sets
-CHECK_MAX_WITNESSES = 10**6  # evaluations * witness_space_size: inner witnesses a check may try
 
 
 def _evaluations(n: int, mode: str, trials: int) -> int:
@@ -419,11 +422,7 @@ def check_monotone_fn(n: int, predicate, mode: str = "exhaustive",
 
 def check_monotone(structure: AccessStructure, mode: str = "exhaustive",
                    trials: int = 1000, rng_seed: int = 0) -> bool:
-    evaluations = _evaluations(structure.n, mode, trials)
-    _decision_bounds(structure, expensive=True)  # so witness_space_size is small to compute
-    if evaluations * (size := witness_space_size(structure)) > CHECK_MAX_WITNESSES:
-        raise ValueError(f"monotonicity check limited to {CHECK_MAX_WITNESSES} inner witnesses, "
-                         f"got {evaluations} evaluations * {size}")
+    check_witness_budget(structure, _evaluations(structure.n, mode, trials))
     return check_monotone_fn(
         structure.n,
         lambda members: evaluate(structure, PartySet(structure.n, members), expensive=True),

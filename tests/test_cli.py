@@ -272,6 +272,7 @@ CIRCUIT5 = {"kind": "monotone-circuit", "n": 5, "payload": {
     "free": 1, "output": 12, "gates": [["not", 5], ["and", 0, 1], ["and", 7, 5], ["and", 2, 3],
                                        ["and", 9, 4], ["and", 10, 6], ["or", 8, 11]]}}
 HAMILTONIAN4 = {"kind": "hamiltonian", "n": 6, "payload": 4}
+HAMILTONIAN7 = {"kind": "hamiltonian", "n": 21, "payload": 7}
 MATCHING4 = {"kind": "matching", "n": 6, "payload": 4}
 
 
@@ -515,6 +516,16 @@ FREE_20_CIRCUIT = {"kind": "monotone-circuit", "n": 12, "payload": {  # ANDs 20 
     + [["and", 50, 0]], "output": 51}}
 
 
+def free_only_circuit(free):
+    """Two parties, ``free`` inputs that no gate reads; the output is party 1."""
+    return {"kind": "monotone-circuit", "n": 2,
+            "payload": {"free": free, "gates": [], "output": 0}}
+
+
+BUDGET_EXCEEDED = ("inner-witness budget of 1000000 exceeded: "
+                   "{} evaluation(s) of this monotone-circuit structure may try more")
+
+
 @pytest.mark.parametrize("argv, structure, error", [
     (("deal", "--config"), {"structure": HUGE_CIRCUIT},
      f"structure n must be at most {cli.MAX_PARTIES}, got {10**20}"),
@@ -523,13 +534,15 @@ FREE_20_CIRCUIT = {"kind": "monotone-circuit", "n": 12, "payload": {  # ANDs 20 
     (("structure", "check", "--mode", "sampled", "--trials", 1, "--structure"),
      {"kind": "threshold", "n": 10**8, "payload": 2},
      f"sampled monotonicity check limited to n * trials <= 1000000, got {10**8}"),
-    (("structure", "check", "--structure"), FREE_20_CIRCUIT,
-     "monotonicity check limited to 1000000 inner witnesses, got 4096 evaluations * 1048576"),
-    (("structure", "check", "--structure"),  # refused before 2^free is counted
-     {"kind": "monotone-circuit", "n": 2, "payload": {"free": 10**20, "gates": [], "output": 0}},
-     "too many free inputs for exhaustive decision"),
+    (("structure", "check", "--structure"), FREE_20_CIRCUIT, BUDGET_EXCEEDED.format(4096)),
+    # refused once the product passes the budget, before 2^free is built
+    (("structure", "check", "--structure"), free_only_circuit(10**20), BUDGET_EXCEEDED.format(4)),
+    (("deal", "--config"), {"structure": free_only_circuit(10**9), "backend": "leaky"},
+     BUDGET_EXCEEDED.format(1)),
+    (("deal", "--config"), {"structure": free_only_circuit(10**20), "backend": "leaky"},
+     BUDGET_EXCEEDED.format(1)),
 ], ids=["deal-n-1e20", "check-n-1e20", "sampled-threshold-n-1e8", "check-free-20",
-        "check-free-1e20"])
+        "check-free-1e20", "leaky-deal-free-1e9", "leaky-deal-free-1e20"])
 def test_huge_structures_exit_2_with_one_line(workdir, capsys, argv, structure, error):
     """Refused by a size bound before anything is allocated per party."""
     (workdir / "huge.json").write_text(json.dumps(structure))
@@ -538,6 +551,29 @@ def test_huge_structures_exit_2_with_one_line(workdir, capsys, argv, structure, 
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv, structure, fits", [
+    (("deal", "--config"), {"structure": free_only_circuit(19), "backend": "leaky"}, True),
+    (("deal", "--config"), {"structure": free_only_circuit(20), "backend": "leaky"}, False),
+    (("structure", "check", "--mode", "sampled", "--trials", 694, "--structure"),
+     HAMILTONIAN7, True),  # 2 * 694 * 6! = 999,360 witnesses
+    (("structure", "check", "--mode", "sampled", "--trials", 695, "--structure"),
+     HAMILTONIAN7, False),
+], ids=["leaky-deal-free-19", "leaky-deal-free-20", "check-hamiltonian-7-694-trials",
+        "check-hamiltonian-7-695-trials"])
+def test_both_sides_of_the_witness_budget(workdir, capsys, argv, structure, fits):
+    """A leaky deal and a sampled check run up to 10^6 inner witnesses and
+    refuse one evaluation's worth more with exit 2 and one line."""
+    (workdir / "s.json").write_text(json.dumps(structure))
+    extra = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if "deal" in argv else ()
+    assert run(*argv, workdir / "s.json", *extra) == (EXIT_OK if fits else EXIT_CONFIG)
+    err = capsys.readouterr().err
+    if fits:
+        assert err == ""
+    else:
+        assert err.startswith("error: inner-witness budget of 1000000 exceeded")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("runs", [0, -2, True])
@@ -857,6 +893,7 @@ FUZZ_DEAL_CONFIGS = [
     {"structure": HAMILTONIAN4, "backend": "cnf", "lam": 16},
     {"structure": MATCHING4, "backend": "leaky", "expansion": "toy"},
     {"structure": CIRCUIT5, "backend": "cnf", "k": 8, "master_seed": 5},
+    {"structure": CIRCUIT5, "backend": "leaky"},
 ]
 
 

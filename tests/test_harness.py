@@ -596,10 +596,10 @@ def test_ind_game_reproducible(leaky6):
 
 
 def test_games_refuse_infeasible_ground_truth():
-    ham_big = hamiltonian_structure(7)  # n = 21 > exhaustive bound
+    ham_big = hamiltonian_structure(11)  # 10! cycles through vertex 1, over the witness budget
     ctx = SchemeContext.create(ham_big, seed=94, backend="leaky")
-    with pytest.raises(ValueError):
-        ind_game(ctx, fixed_sampler(S0, S1, PartySet.of(21, {1})),
+    with pytest.raises(ValueError, match="inner-witness budget"):
+        ind_game(ctx, fixed_sampler(S0, S1, PartySet.of(55, {1})),
                  constant_distinguisher(0), 100, master_seed=95)
 
 

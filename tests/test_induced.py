@@ -32,6 +32,7 @@ from npshare.structures import (
     PartySet,
     circuit_structure,
     edge_index,
+    evaluate,
     hamiltonian_structure,
     matching_structure,
     threshold_structure,
@@ -285,7 +286,7 @@ def test_search_and_in_language_build_no_party_set(monkeypatch):
 
 @pytest.mark.parametrize("structure,k,message", [
     (threshold_structure(3, 2), 11, "exhaustive search limited to k <= 10"),
-    (hamiltonian_structure(10), 8, "inner-witness space exceeds the search budget"),
+    (hamiltonian_structure(11), 8, "inner-witness budget of 1000000 exceeded"),
 ])
 def test_in_language_refuses_what_exhaustive_search_refuses(structure, k, message):
     """The refusals come first, even where every position is known to open:
@@ -298,6 +299,37 @@ def test_in_language_refuses_what_exhaustive_search_refuses(structure, k, messag
                    lambda i: ctx.deal(b"s", Stream(5))):
         with pytest.raises(ValueError, match=message):
             decide(inst)
+
+
+def _free_circuit(free):
+    """Two parties; qualified iff party 1 is present, whatever the ``free`` inputs."""
+    return circuit_structure(MonotoneCircuit(n_std=2, n_free=free, gates=(), output=0))
+
+
+@pytest.mark.parametrize("inside, outside", [
+    (hamiltonian_structure(10), hamiltonian_structure(11)),  # 9! = 362,880; 10! = 3,628,800
+    (matching_structure(15), matching_structure(16)),  # 14!! = 645,120; 15!! = 2,027,025
+    (_free_circuit(19), _free_circuit(20)),  # 2^19 = 524,288; 2^20 = 1,048,576
+], ids=["hamiltonian-10-11", "matching-15-16", "circuit-free-19-20"])
+def test_every_enumeration_shares_one_witness_budget(inside, outside):
+    """The ground truth, the search, the leaky relation and a leaky deal accept
+    the same witness spaces: up to 10^6 inner witnesses.  On the accepting side
+    the full set's first candidate succeeds (matching(15) has none), so it is fast."""
+    for structure in (inside, outside):
+        ctx = SchemeContext.create(structure, seed=structure.n, backend="leaky")
+        inst = MPrimeInstance(ctx.crs, ctx.a0_commitments(Stream(1)), structure)
+        decisions = (lambda: evaluate(structure, PartySet.full(structure.n), expensive=True),
+                     lambda: exhaustive_witness_search(inst) is not None,
+                     lambda: MPrimeRelation(inst).in_language(),
+                     lambda: leak_message(ctx.deal(b"s", Stream(2)).shares[0].ciphertext)
+                     is not None)
+        if structure is inside:
+            answers = [decide() for decide in decisions]
+            assert answers == [structure.kind != "matching"] * 4
+            continue
+        for decide in decisions:
+            with pytest.raises(ValueError, match="inner-witness budget of 1000000 exceeded"):
+                decide()
 
 
 def _edges(*pairs):

@@ -1,4 +1,4 @@
-"""The library's size budget (ROADMAP item 9)."""
+"""The library's size budget (ROADMAP item 8)."""
 
 from pathlib import Path
 

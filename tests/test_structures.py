@@ -11,8 +11,10 @@ from npshare.structures import (
     MonotoneCircuit,
     PartySet,
     SAMPLED_MAX_BITS,
+    WITNESS_BUDGET,
     check_monotone,
     check_monotone_fn,
+    check_witness_budget,
     circuit_structure,
     edge_index,
     edge_slots,
@@ -205,6 +207,24 @@ def test_check_monotone_sampled_refuses_no_trials(trials):
 def test_check_monotone_exhaustive_bound():
     with pytest.raises(ValueError):
         check_monotone(threshold_structure(13, 2), mode="exhaustive")
+
+
+def test_check_monotone_refuses_one_witness_past_the_budget():
+    """A check's evaluations times each one's inner witnesses may reach the
+    budget but not pass it; the check refuses before it evaluates anything."""
+    assert WITNESS_BUDGET == 10**6
+    one_witness = threshold_structure(1, 1)
+    check_witness_budget(one_witness, 10**6)
+    with pytest.raises(ValueError, match="inner-witness budget"):
+        check_witness_budget(one_witness, 10**6 + 1)
+    free6 = circuit_structure(MonotoneCircuit(n_std=2, n_free=6, gates=(), output=0))
+    check_witness_budget(free6, 15_625)  # * 2^6 = 10^6
+    with pytest.raises(ValueError, match="inner-witness budget"):
+        check_witness_budget(free6, 15_626)
+    # sampled mode evaluates 2 * trials party sets: 1,000,002 and 1,000,064 witnesses
+    for structure, trials in ((one_witness, 500_001), (free6, 7_813)):
+        with pytest.raises(ValueError, match=f"{2 * trials} evaluation"):
+            check_monotone(structure, mode="sampled", trials=trials)
 
 
 @pytest.mark.parametrize("v", [4, 5])
