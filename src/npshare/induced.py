@@ -108,13 +108,15 @@ def assemble_witness(X: PartySet, openings_by_party, inner) -> MPrimeWitness:
 
 def _openable(inst: MPrimeInstance, known=()) -> dict[int, int]:
     """``{i: Opening.bits}`` for the positions outside ``known`` opening to their
-    own index, by one :meth:`CRS.invert`; refused above k = 10 or past the witness
-    budget, whatever ``known`` is.  Search over this set plus ``known``, the maximal
-    one, is complete since every shipped verifier is monotone."""
+    own index, by one :meth:`CRS.invert` (no call if ``known`` holds every one);
+    refused above k = 10 or past the witness budget, whatever ``known`` is.  Search
+    over this set plus ``known``, the maximal one, is complete: verifiers are monotone."""
     if inst.crs.k > 10:
         raise ValueError("exhaustive search limited to k <= 10")
     check_witness_budget(inst.structure)
-    return inst.crs.invert((i, com) for i, com in enumerate(inst.commitments, 1) if i not in known)
+    pairs = enumerate(inst.commitments, 1)
+    pairs = [p for p in pairs if p[0] not in known] if known else pairs
+    return inst.crs.invert(pairs) if pairs else {}
 
 
 def exhaustive_witness_search(inst: MPrimeInstance) -> MPrimeWitness | None:
@@ -151,8 +153,9 @@ class MPrimeRelation:
     def in_language(self) -> bool:
         """``exhaustive_witness_search(instance) is not None``, building no witness."""
         inst = self.instance  # an inner witness may be None, so not any(...)
-        opens = self.known | _openable(inst, self.known).keys()
-        return any(True for _ in inner_witnesses(inst.structure, opens))
+        for _ in inner_witnesses(inst.structure, self.known | _openable(inst, self.known).keys()):
+            return True
+        return False
 
     def describe(self) -> dict:
         return {"instance": self.instance.to_json(), "type": self.tag}

@@ -130,7 +130,7 @@ class SchemeContext:
         commitment and gets no share, and its opening's draw is dropped; the
         input commitment of a member of X is never read.  The positions the
         dealer commits itself are known to open, so the leaky relation does
-        not invert them."""
+        not invert them; with X the full set it makes no inversion call."""
         if not secret:
             raise ValueError("secret must be non-empty")
         n, crs = self.n, self.crs
@@ -145,9 +145,7 @@ class SchemeContext:
         inst = MPrimeInstance(crs=crs, structure=self.structure, commitments=tuple(
             com if com is not None else given for com, given in zip(fresh, commitments)))
         ct = self.encrypt(inst, secret, rng, known=openings.keys())
-        return Dealing(public=inst, shares=tuple(
-            Share(party=i, opening=op, ciphertext=ct, crs=crs)
-            for i, op in openings.items()))
+        return Dealing(tuple([Share(i, op, ct, crs) for i, op in openings.items()]), inst)
 
     def a0_commitments(self, rng: Stream) -> tuple[Commitment, ...]:
         return commitment_list(range(1, self.n + 1), self.crs, rng)

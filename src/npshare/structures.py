@@ -336,12 +336,12 @@ def check_witness_budget(structure: AccessStructure, evaluations: int = 1) -> No
     """Refuse ``evaluations`` runs of :func:`inner_witnesses` that together may
     try more than :data:`WITNESS_BUDGET` witnesses.  The space is multiplied in
     one factor at a time (2 per free input, (v-1)! cycles through vertex 1,
-    (v-1)!! perfect matchings), stopping once past the budget, so no size
-    argument builds a huge integer."""
+    (v-1)!! perfect matchings for an even v; an odd v has none to try),
+    stopping once past the budget, so no size argument builds a huge integer."""
     kind, payload = structure.kind, structure.payload
     factors = ((2 for _ in range(payload.n_free)) if kind == "monotone-circuit" else
                range(1, payload) if kind == "hamiltonian" else
-               range(payload - 1, 0, -2) if kind == "matching" else ())
+               range(payload - 1, 0, -2) if kind == "matching" and payload % 2 == 0 else ())
     tried = evaluations
     for factor in factors:
         if tried > WITNESS_BUDGET:

@@ -184,14 +184,11 @@ def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) ->
     if not message:
         raise ValueError("message must be non-empty")
     if backend == "leaky":
-        nonce = rng.bytes(8)
+        fields = {"nonce": rng.bytes(8).hex(), "plain": message.hex(), "noise": None}
         if not relation.in_language():
             # Instance outside the language: the payload distribution is
             # independent of the message (soundness holds by construction).
-            body = {"plain": None, "noise": rng.bytes(len(message)).hex()}
-        else:
-            body = {"plain": message.hex(), "noise": None}
-        fields = {"nonce": nonce.hex(), **body}
+            fields.update(plain=None, noise=rng.bytes(len(message)).hex())
     else:
         key = rng.bytes(max(8, (lam + 7) // 8))
         fields = {

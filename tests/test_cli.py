@@ -522,6 +522,7 @@ def free_only_circuit(free):
             "payload": {"free": free, "gates": [], "output": 0}}
 
 
+MATCHING17 = {"kind": "matching", "n": 136, "payload": 17}  # odd v: no perfect matching to try
 BUDGET_EXCEEDED = ("inner-witness budget of 1000000 exceeded: "
                    "{} evaluation(s) of this monotone-circuit structure may try more")
 
@@ -530,6 +531,8 @@ BUDGET_EXCEEDED = ("inner-witness budget of 1000000 exceeded: "
     (("deal", "--config"), {"structure": HUGE_CIRCUIT},
      f"structure n must be at most {cli.MAX_PARTIES}, got {10**20}"),
     (("structure", "check", "--structure"), HUGE_CIRCUIT,
+     "exhaustive monotonicity check limited to n <= 12"),
+    (("structure", "check", "--structure"), MATCHING17,
      "exhaustive monotonicity check limited to n <= 12"),
     (("structure", "check", "--mode", "sampled", "--trials", 1, "--structure"),
      {"kind": "threshold", "n": 10**8, "payload": 2},
@@ -541,8 +544,8 @@ BUDGET_EXCEEDED = ("inner-witness budget of 1000000 exceeded: "
      BUDGET_EXCEEDED.format(1)),
     (("deal", "--config"), {"structure": free_only_circuit(10**20), "backend": "leaky"},
      BUDGET_EXCEEDED.format(1)),
-], ids=["deal-n-1e20", "check-n-1e20", "sampled-threshold-n-1e8", "check-free-20",
-        "check-free-1e20", "leaky-deal-free-1e9", "leaky-deal-free-1e20"])
+], ids=["deal-n-1e20", "check-n-1e20", "check-matching-17", "sampled-threshold-n-1e8",
+        "check-free-20", "check-free-1e20", "leaky-deal-free-1e9", "leaky-deal-free-1e20"])
 def test_huge_structures_exit_2_with_one_line(workdir, capsys, argv, structure, error):
     """Refused by a size bound before anything is allocated per party."""
     (workdir / "huge.json").write_text(json.dumps(structure))
@@ -560,11 +563,14 @@ def test_huge_structures_exit_2_with_one_line(workdir, capsys, argv, structure, 
      HAMILTONIAN7, True),  # 2 * 694 * 6! = 999,360 witnesses
     (("structure", "check", "--mode", "sampled", "--trials", 695, "--structure"),
      HAMILTONIAN7, False),
+    (("structure", "check", "--mode", "sampled", "--trials", 5, "--structure"),
+     MATCHING17, True),
 ], ids=["leaky-deal-free-19", "leaky-deal-free-20", "check-hamiltonian-7-694-trials",
-        "check-hamiltonian-7-695-trials"])
+        "check-hamiltonian-7-695-trials", "check-matching-17-5-trials"])
 def test_both_sides_of_the_witness_budget(workdir, capsys, argv, structure, fits):
     """A leaky deal and a sampled check run up to 10^6 inner witnesses and
-    refuse one evaluation's worth more with exit 2 and one line."""
+    refuse one evaluation's worth more with exit 2 and one line; an odd-v
+    matching has no witness to count."""
     (workdir / "s.json").write_text(json.dumps(structure))
     extra = ("--secret", workdir / "secret.bin", "--out", workdir / "x") if "deal" in argv else ()
     assert run(*argv, workdir / "s.json", *extra) == (EXIT_OK if fits else EXIT_CONFIG)

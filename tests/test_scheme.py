@@ -8,9 +8,11 @@ from npshare import serde
 from npshare.commitments import verify_opening
 from npshare.rng import Stream, derive_seed
 from npshare.scheme import (
+    Dealing,
     MissingShareError,
     MixedDealingError,
     SchemeContext,
+    Share,
     recon,
     setup,
     share_parse,
@@ -79,6 +81,20 @@ def test_per_deal_values_compare_and_hash_by_their_fields(name):
         assert _hash_or_error(x) == "unhashable type: 'WECiphertext'"
     else:
         assert {x, y, other} == {x, other} and {x: 1}[y] == 1
+
+
+def test_share_and_dealing_keep_the_field_order_deal_builds_them_in():
+    """``SchemeContext.deal`` builds both positionally, so reordering a field
+    would swap two arguments without an error."""
+    assert [f.name for f in dataclasses.fields(Share)] == ["party", "opening", "ciphertext", "crs"]
+    assert [f.name for f in dataclasses.fields(Dealing)] == ["shares", "public"]
+    ctx = SchemeContext.create(threshold_structure(3, 2), seed=5, backend="leaky")
+    dealing = ctx.deal(b"abcd", Stream(9))
+    assert type(dealing.public).__name__ == "MPrimeInstance"
+    for party, share in enumerate(dealing.shares, 1):
+        assert [type(getattr(share, f.name)).__name__ for f in dataclasses.fields(share)] == [
+            "int", "Opening", "WECiphertext", "CRS"]
+        assert share.party == party and share.crs is ctx.crs
 
 
 def test_recon_threshold():

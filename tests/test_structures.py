@@ -227,6 +227,20 @@ def test_check_monotone_refuses_one_witness_past_the_budget():
             check_monotone(structure, mode="sampled", trials=trials)
 
 
+def test_an_odd_matching_counts_no_witnesses_against_the_budget():
+    """An odd v has no perfect matching and enumerates none to find that out,
+    so matching(17) over 136 parties is decided False instead of refused
+    for its 16!! = 10,321,920 matchings of an even v."""
+    structure = matching_structure(17)
+    assert list(inner_witnesses(structure, PartySet.full(136).members)) == []
+    assert evaluate(structure, PartySet.full(136), expensive=True) is False
+    check_witness_budget(structure, WITNESS_BUDGET)
+    with pytest.raises(ValueError, match="inner-witness budget"):
+        check_witness_budget(structure, WITNESS_BUDGET + 1)
+    with pytest.raises(ValueError, match="inner-witness budget"):
+        evaluate(matching_structure(18), PartySet.full(153), expensive=True)  # 17!!
+
+
 @pytest.mark.parametrize("v", [4, 5])
 def test_verifier_soundness_toy_scale(v):
     """Some witness verifies  <=>  exhaustive evaluation accepts (all subsets)."""
