@@ -76,6 +76,7 @@ def prg_toy(seed: int, k: int) -> int:
 
 
 EXPANSIONS = {"splitmix64": prg_splitmix64, "toy": prg_toy}
+TABLE_K = 12  # the largest k whose 2^k PRG outputs are tabled and searched exhaustively
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,11 @@ class CRS:
             for v in range(2 * self.n + 1))
 
     @cached_property
-    def prg_table(self) -> tuple[tuple[int, ...], dict] | None:
-        """All 2^k expansion outputs and their preimage map, for k <= 12."""
-        return _prg_table(self.expansion, self.k) if self.k <= 12 else None
+    def prg_table(self) -> tuple[tuple[int, ...], dict]:
+        """All 2^k expansion outputs and their preimage map; the one k bound of block search."""
+        if self.k > TABLE_K:
+            raise ValueError(f"exhaustive block search limited to k <= {TABLE_K}")
+        return _prg_table(self.expansion, self.k)
 
     @cached_property
     def block_outputs(self) -> tuple:
@@ -135,9 +138,7 @@ class CRS:
     def invert(self, pairs) -> dict[int, int]:
         """``{value: Opening.bits}`` for the ``(value, com)`` pairs (value in [0, 2n])
         that open, inverted block by block; a pair is dropped at its first block
-        without a preimage.  Complete since blocks are independent (k <= 12)."""
-        if self.prg_table is None:
-            raise ValueError("exhaustive block search limited to k <= 12")
+        without a preimage.  Complete since blocks are independent (k <= ``TABLE_K``)."""
         pre, width, value_masks = self.prg_table[1].get, self.block_bits, self.value_masks
         mask, shifts, found = (1 << width) - 1, range(0, self.ell * self.k, self.k), {}
         for value, com in pairs:
@@ -287,18 +288,16 @@ class _ShiftedPrg:
 
 @lru_cache(maxsize=32)
 def _block_outputs(expansion: str, k: int, ell: int) -> tuple:
-    """Block j's PRG outputs shifted to offset ``j * 3k``: tabled for k <= 12,
+    """Block j's PRG outputs shifted to offset ``j * 3k``: tabled for k <= ``TABLE_K``,
     computed per read above."""
     shifts = range(0, ell * 3 * k, 3 * k)
-    if k > 12:
+    if k > TABLE_K:
         return tuple(_ShiftedPrg(expansion, k, shift) for shift in shifts)
     return tuple(tuple(out << shift for out in _prg_table(expansion, k)[0]) for shift in shifts)
 
 
 def block_preimage(crs: CRS, target: int) -> int | None:
-    """A seed with PRG(seed) == target, or None (exhaustive, k <= 12)."""
-    if crs.prg_table is None:
-        raise ValueError("exhaustive block search limited to k <= 12")
+    """A seed with PRG(seed) == target, or None (exhaustive, k <= ``TABLE_K``)."""
     return crs.prg_table[1].get(target)
 
 
@@ -318,14 +317,12 @@ def supports_disjoint(crs: CRS, v1: int, v2: int) -> bool:
     collide if *every* differing block admits a collision.  Equal values
     trivially share their own support, so the answer there is False.
     """
-    if crs.prg_table is None:
-        raise ValueError("exhaustive support check limited to k <= 12")
+    image = set(crs.prg_table[0])  # refuses k > TABLE_K before the values are read
     for v in (v1, v2):
         if not 1 <= v <= 2 * crs.n:
             raise ValueError(f"value {v} outside [2n]")
     if v1 == v2:
         return False
-    image = set(crs.prg_table[0])
     for j in range(crs.ell):
         if ((v1 ^ v2) >> j) & 1:
             crs_block = crs.blocks[j]

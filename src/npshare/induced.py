@@ -109,10 +109,9 @@ def assemble_witness(X: PartySet, openings_by_party, inner) -> MPrimeWitness:
 def _openable(inst: MPrimeInstance, known=()) -> dict[int, int]:
     """``{i: Opening.bits}`` for the positions outside ``known`` opening to their
     own index, by one :meth:`CRS.invert` (no call if ``known`` holds every one);
-    refused above k = 10 or past the witness budget, whatever ``known`` is.  Search
-    over this set plus ``known``, the maximal one, is complete: verifiers are monotone."""
-    if inst.crs.k > 10:
-        raise ValueError("exhaustive search limited to k <= 10")
+    refused above the PRG table's k, then past the witness budget, whatever ``known`` is.
+    Search over this set plus ``known``, the maximal one, is complete: verifiers are monotone."""
+    inst.crs.prg_table  # the table's k bound refuses first, even with nothing to invert
     check_witness_budget(inst.structure)
     pairs = enumerate(inst.commitments, 1)
     pairs = [p for p in pairs if p[0] not in known] if known else pairs

@@ -151,12 +151,13 @@ def parse_payload(ct: WECiphertext) -> dict:
 
 
 def load_relation(ct: WECiphertext):
-    """The relation bound to ``ct``, else the one its payload embeds, loaded
-    and bound; without a cached parse, parses the payload and caches it."""
+    """The relation bound to ``ct``, else the one its payload embeds, loaded and
+    bound; without a cached parse, parses the payload (corrupt unless it is the
+    canonical rendering of its fields and that relation) and caches it."""
     if ct.fields is not None:
         return ct.relation
-    obj = parse_payload(ct)
-    if ct.relation is None:
+    obj, relation = parse_payload(ct), ct.relation
+    if relation is None:
         from .circuits import CnfMPrimeRelation  # the relation layers sit above this one
         from .induced import MPrimeInstance, MPrimeRelation
 
@@ -170,9 +171,11 @@ def load_relation(ct: WECiphertext):
             raise CorruptCiphertext(f"embedded relation does not load: {exc!r}") from exc
         if relation.instance_digest() != ct.instance_digest:
             raise CorruptCiphertext("embedded relation disagrees with the instance digest")
-        ct.relation = relation
-    ct.fields = {f: v for f, v in obj.items() if f not in ("relation", "v")}
-    return ct.relation
+    fields = {f: v for f, v in obj.items() if f not in ("relation", "v")}
+    if _payload(fields, relation.describe()) != ct.payload:
+        raise CorruptCiphertext("payload is not the canonical rendering of its relation")
+    ct.relation, ct.fields = relation, fields
+    return relation
 
 
 def we_encrypt(backend: str, lam: int, relation, message: bytes, rng: Stream) -> WECiphertext:

@@ -762,11 +762,11 @@ DROP = object()
 @st.composite
 def share_mutation(draw, share):
     """(path, change) for one malformed share file: a key dropped, a value
-    of the wrong type, truncated or garbage hex, a party out of range, or a
-    scalar or array in place of an object.  ``change(old)`` is the new value
-    or DROP."""
+    of the wrong type, truncated or garbage hex, a party out of range, a
+    scalar or array in place of an object, or an extra key in an object
+    inside the payload.  ``change(old)`` is the new value or DROP."""
     nodes = list(_nodes(_decode_payload(share)))
-    kind = draw(st.sampled_from(["drop", "retype", "hex", "party", "not-an-object"]))
+    kind = draw(st.sampled_from(["drop", "retype", "hex", "party", "not-an-object", "extra-key"]))
     if kind == "party":
         party = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=4)))
         return ("party",), lambda old: party
@@ -777,10 +777,15 @@ def share_mutation(draw, share):
     elif kind == "hex":
         choices = [p for p, v in nodes if p == ("ciphertext", "payload") or (
             isinstance(v, str) and HEX.fullmatch(v))]
-    else:
+    elif kind == "not-an-object":
         choices = [p for p, v in nodes if isinstance(v, dict)]
+    else:
+        choices = [p for p, v in nodes if isinstance(v, dict) and p[:2] == ("ciphertext", "payload")]
     path = draw(st.sampled_from(choices))
     old = dict(nodes)[path]
+    if kind == "extra-key":
+        key, value = draw(st.text(max_size=6).filter(lambda key: key not in old)), draw(JSON_VALUES)
+        return path, lambda old: {**old, key: value}
     if kind == "drop":
         return path, lambda old: DROP
     if kind == "hex":
@@ -1173,6 +1178,49 @@ def test_unknown_structure_key_exit_2_with_one_line(workdir, capsys, command, st
     assert captured.out == ""
     assert captured.err == f"error: bad structure description: {message}\n"
     assert not (workdir / "x").exists()
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda doc: doc["ciphertext"].update(payload=json.dumps(
+        doc["ciphertext"]["payload"], indent=1, sort_keys=True).encode().hex()),
+    lambda doc: doc["ciphertext"]["payload"]["relation"].update(bogus=1),
+    lambda doc: doc["ciphertext"]["payload"]["relation"]["instance"].update(bogus=1),
+    lambda doc: doc["ciphertext"]["payload"]["relation"]["instance"]["crs"].update(bogus=1),
+], ids=["reindented", "relation-key", "instance-key", "crs-key"])
+def test_recon_non_canonical_payload_exit_2_with_one_line(dealt, capsys, rewrite):
+    """A payload is the canonical JSON of exactly its fields: both share files
+    rewritten the same way get past the mixed-dealing check and are refused."""
+    root, shares = dealt
+    paths = [root / "rewritten_1.json", root / "rewritten_2.json"]
+    for share, path in zip(shares, paths):
+        doc = _decode_payload(share)
+        rewrite(doc)
+        path.write_text(json.dumps(_encode_payload(doc)))
+    assert run("recon", "--parties", "1,2", "--out", root / "rewritten.out", *paths) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: payload is not the canonical rendering of its relation\n"
+    assert not (root / "rewritten.out").exists()
+
+
+@pytest.mark.parametrize("k", [12, 13])
+def test_leaky_deal_and_experiment_at_the_prg_table_bound(workdir, capsys, k):
+    """A leaky deal that recon reads back, and a leaky experiment, run at k = 12;
+    at k = 13 each exits 2 with the PRG table's one line and writes nothing."""
+    (workdir / "k.json").write_text(json.dumps({
+        "structure": {"kind": "threshold", "n": 3, "payload": 2}, "backend": "leaky", "k": k}))
+    (workdir / "g.json").write_text(json.dumps({**GAME_CONFIG, "k": k}))
+    out = workdir / "deal"
+    codes = [run("deal", "--config", workdir / "k.json", "--secret", workdir / "secret.bin",
+                 "--out", out), run("experiment", "--config", workdir / "g.json")]
+    if k == 12:
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert run("recon", "--parties", "1,2", "--out", workdir / "secret.out",
+                   out / "share_1.json", out / "share_2.json") == EXIT_OK
+        assert (workdir / "secret.out").read_bytes() == b"four"
+        assert "error" not in capsys.readouterr().err
+    else:
+        assert codes == [EXIT_CONFIG, EXIT_CONFIG] and not out.exists()
+        assert capsys.readouterr().err == "error: exhaustive block search limited to k <= 12\n" * 2
 
 
 def test_recon_share_whose_embedded_structure_has_an_unknown_key_exit_2(dealt, capsys):

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from npshare.commitments import (
     CRS,
+    EXPANSIONS,
     Commitment,
     Opening,
+    block_preimage,
     commit,
     commitment_list,
     crs_gen,
@@ -186,6 +188,31 @@ def test_supports_disjoint_refuses_large_k():
     crs = crs_gen(2, 16, Stream(0))
     with pytest.raises(ValueError):
         supports_disjoint(crs, 1, 2)
+
+
+@pytest.mark.parametrize("expansion", ["splitmix64", "toy"])
+@pytest.mark.parametrize("k", [12, 13])
+def test_every_prg_table_reader_works_at_k_12_and_refuses_k_13(k, expansion):
+    """CRS.prg_table is the one bound on exhaustive block work: each reader
+    answers at k = 12, and at k = 13 raises the table's one message before it
+    reads its arguments (so equal or out-of-range values are refused too)."""
+    crs = crs_gen(3, k, Stream(k), expansion=expansion)
+    com, prg = commit(2, sample_opening(crs, Stream(1)), crs), EXPANSIONS[expansion]
+    readers = [
+        lambda: commit(2, Opening(crs.invert([(2, com)])[2]), crs) == com,
+        lambda: commit(2, find_opening(2, com, crs), crs) == com,
+        lambda: prg(block_preimage(crs, prg(77, k)), k) == prg(77, k),
+        lambda: supports_disjoint(crs, 1, 2) in (True, False),
+        lambda: supports_disjoint(crs, 1, 1) is False,
+    ]
+    for read in readers:
+        if k == 12:
+            assert read()
+        else:
+            with pytest.raises(ValueError, match="^exhaustive block search limited to k <= 12$"):
+                read()
+    with pytest.raises(ValueError, match="outside" if k == 12 else "limited to k <= 12"):
+        supports_disjoint(crs, 0, 1)
 
 
 def test_supports_disjoint_mostly_holds_over_random_crs():

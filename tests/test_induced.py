@@ -156,10 +156,10 @@ def test_exhaustive_search_no_qualified_sets():
 def test_exhaustive_search_refuses_large_k():
     structure = threshold_structure(2, 1)
     rng = Stream(31)
-    crs = crs_gen(2, 12, rng)
+    crs = crs_gen(2, 13, rng)
     coms = tuple(commit(i, sample_opening(crs, rng), crs) for i in (1, 2))
     inst = MPrimeInstance(crs=crs, commitments=coms, structure=structure)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exhaustive block search limited to k <= 12"):
         exhaustive_witness_search(inst)
 
 
@@ -285,7 +285,7 @@ def test_search_and_in_language_build_no_party_set(monkeypatch):
 
 
 @pytest.mark.parametrize("structure,k,message", [
-    (threshold_structure(3, 2), 11, "exhaustive search limited to k <= 10"),
+    (threshold_structure(3, 2), 13, "exhaustive block search limited to k <= 12"),
     (hamiltonian_structure(11), 8, "inner-witness budget of 1000000 exceeded"),
 ])
 def test_in_language_refuses_what_exhaustive_search_refuses(structure, k, message):
@@ -299,6 +299,36 @@ def test_in_language_refuses_what_exhaustive_search_refuses(structure, k, messag
                    lambda i: ctx.deal(b"s", Stream(5))):
         with pytest.raises(ValueError, match=message):
             decide(inst)
+
+
+@pytest.mark.parametrize("k", [12, 13])
+def test_every_decision_works_at_the_prg_table_bound_and_refuses_past_it(k):
+    """The search, the leaky relation with no position known and with every one
+    known, and leaky deals with X full and substituted decide at k = 12; at
+    k = 13 each raises the PRG table's one message."""
+    structure = threshold_structure(3, 2)
+    ctx = SchemeContext.create(structure, seed=3, k=k, backend="leaky")
+    honest = MPrimeInstance(ctx.crs, ctx.a0_commitments(Stream(4)), structure)
+    substituted = ctx.a1_commitments(Stream(5))
+
+    def leaked(X):
+        dealing = ctx.deal(b"s", Stream(6), substituted, PartySet.of(3, X))
+        return leak_message(dealing.shares[0].ciphertext)
+
+    decisions = [
+        lambda: exhaustive_witness_search(honest) is not None,
+        lambda: MPrimeRelation(honest).in_language(),
+        lambda: MPrimeRelation(honest, {1, 2, 3}).in_language(),
+        lambda: leak_message(ctx.deal(b"s", Stream(6)).shares[0].ciphertext) == b"s",
+        lambda: leaked({1, 2}) == b"s",
+        lambda: leaked({1}) is None,
+    ]
+    for decide in decisions:
+        if k == 12:
+            assert decide()
+        else:
+            with pytest.raises(ValueError, match="^exhaustive block search limited to k <= 12$"):
+                decide()
 
 
 def _free_circuit(free):

@@ -1,9 +1,11 @@
 """Witness-encryption backends: completeness, soundness shape, envelopes."""
 
 import dataclasses
+import json
 
 import pytest
 
+from npshare import serde
 from npshare.rng import Stream, derive_seed
 from npshare.we import (
     CorruptCiphertext,
@@ -143,6 +145,20 @@ def test_replaced_payload_has_no_cache_and_is_parsed():
     assert swapped.fields is None and dataclasses.replace(ct) == ct
     assert leak_message(swapped) == b"other"
     assert we_decrypt(swapped, 2) == b"other"
+
+
+@pytest.mark.parametrize("backend", ["idealized", "leaky"])
+def test_a_payload_other_than_its_canonical_rendering_is_corrupt(backend):
+    """The same fields with other spacing, or an unknown key in the relation,
+    are refused when parsed; the canonical bytes load."""
+    rel = ModRelation(5, 2)
+    ct = we_encrypt(backend, 16, rel, b"canon", Stream(15))
+    obj = json.loads(ct.payload)
+    for payload in (json.dumps(obj, indent=1, sort_keys=True).encode(),
+                    serde.canonical_json_bytes({**obj, "relation": {"type": "mod", "bogus": 1}})):
+        with pytest.raises(CorruptCiphertext, match="not the canonical rendering"):
+            load_relation(dataclasses.replace(ct, payload=payload))
+    assert load_relation(dataclasses.replace(ct, payload=ct.payload)) is rel
 
 
 def test_corrupted_payload_distinguishable():
