@@ -466,4 +466,6 @@ class CnfMPrimeRelation(MPrimeRelation):
                 witness = [bool(b) for b in witness]
             except TypeError:
                 return False
-        return cnf.check_assignment(cnf.tseitin(circuit), witness)
+        formula = cnf.tseitin(circuit)
+        del circuit  # not held while check_assignment builds its literal set
+        return cnf.check_assignment(formula, witness)

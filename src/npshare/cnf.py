@@ -12,7 +12,9 @@ first fault, and normalizes: repeated literals dropped (first occurrences
 kept), tautologies removed.  :func:`tseitin` checks its circuit gate by
 gate instead, emits normal clauses (a gate reading one wire twice is
 encoded exactly: AND and OR copy it, XOR is false), and so builds its
-formula without rescanning the literals it made.
+formula without rescanning the literals it made.  Its formula holds one int
+object per literal: v and -v are built once per variable and every clause
+reads them, as the solver's clause copies then do too.
 """
 
 from __future__ import annotations
@@ -75,32 +77,34 @@ def tseitin(circuit) -> CNF:
         # Output folded to a constant: keep the input variables; encode
         # unsatisfiability as a contradictory variable, not an empty clause.
         return CNF(max(n, 1), [] if circuit.output else [(1,), (-1,)])
+    num_vars = n + len(circuit.gates)
+    pos = list(range(1, num_vars + 1))  # wire w's literals, one int object each
+    neg = [-v for v in pos]
     clauses: list[tuple[int, ...]] = []
     add = clauses.extend
-    for g, gate in enumerate(circuit.gates, n + 1):
+    for w, gate in enumerate(circuit.gates, n):
+        g, ng = pos[w], neg[w]
         if len(gate) == 2:  # not
-            a = gate[1] + 1
-            if not 0 < a < g:  # gate g, its 1-based variable, reads variables 1..g-1
-                raise ValueError(f"gate wire {g - 1} reads wire {a - 1}, not an earlier one")
-            add(((g, a), (-g, -a)))
+            a = gate[1]
+            if not 0 <= a < w:  # checked before the lookups: a negative index would wrap
+                raise ValueError(f"gate wire {w} reads wire {a}, not an earlier one")
+            add(((g, pos[a]), (ng, neg[a])))
             continue
         op, a, b = gate
-        a += 1
-        b += 1
-        if not (0 < a < g and 0 < b < g):
-            raise ValueError(f"gate wire {g - 1} reads wires {a - 1}, {b - 1}, not both earlier")
+        if not (0 <= a < w and 0 <= b < w):
+            raise ValueError(f"gate wire {w} reads wires {a}, {b}, not both earlier")
+        pa, na, pb, nb = pos[a], neg[a], pos[b], neg[b]
         if a == b:  # one wire read twice: AND and OR copy it, XOR is false
-            add(((-g,),) if op == "xor" else ((-g, a), (g, -a)))
+            add(((ng,),) if op == "xor" else ((ng, pa), (g, na)))
         elif op == "and":
-            add(((-g, a), (-g, b), (g, -a, -b)))
+            add(((ng, pa), (ng, pb), (g, na, nb)))
         elif op == "or":
-            add(((g, -a), (g, -b), (-g, a, b)))
+            add(((g, na), (g, nb), (ng, pa, pb)))
         else:  # xor
-            add(((-g, a, b), (-g, -a, -b), (g, -a, b), (g, a, -b)))
-    num_vars = n + len(circuit.gates)
+            add(((ng, pa, pb), (ng, na, nb), (g, na, pb), (g, pa, nb)))
     if not 0 <= circuit.output < num_vars:
         raise ValueError(f"output {circuit.output} is not a wire")
-    clauses.append((circuit.output + 1,))
+    clauses.append((pos[circuit.output],))
     cnf = object.__new__(CNF)  # every literal is in range by the checks above: no rescan
     cnf.num_vars, cnf.clauses = num_vars, clauses
     return cnf

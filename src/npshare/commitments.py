@@ -165,6 +165,8 @@ class CRS:
     def from_json(cls, obj: dict) -> "CRS":
         n, k = serde.require(obj, "n", int), serde.require(obj, "k", int)
         expansion, bits = serde.require(obj, "expansion", str), serde.require(obj, "bits", str)
+        if unknown := sorted(obj.keys() - {"n", "k", "expansion", "bits"}):
+            raise ValueError(f"unknown crs keys {unknown}")
         nbits = value_bit_length(n) * 3 * k
         return cls(n=n, k=k, expansion=expansion, bits=serde.hex_to_int(bits, nbits))
 

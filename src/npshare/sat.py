@@ -119,9 +119,9 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
                 c = ws[i]
                 i += 1
                 first = c[0]
-                if first == false_lit:
-                    first = c[0] = c[1]
-                    c[1] = false_lit
+                if first == false_lit:  # swaps keep the clause's own literal objects
+                    first = c[1]
+                    c[0], c[1] = first, c[0]
                 if val[first] is True:
                     ws[j] = c
                     j += 1
@@ -129,16 +129,14 @@ def solve_cnf(cnf: CNF, max_conflicts: int | None = None):
                 if len(c) == 3:
                     lk = c[2]
                     if val[lk] is not False:
-                        c[1] = lk
-                        c[2] = false_lit
+                        c[1], c[2] = lk, c[1]
                         watches[lk].append(c)
                         continue
                 elif len(c) > 3:
                     for k in range(2, len(c)):
                         lk = c[k]
                         if val[lk] is not False:
-                            c[1] = lk
-                            c[k] = false_lit
+                            c[1], c[k] = lk, c[1]
                             watches[lk].append(c)
                             break
                     else:

@@ -61,6 +61,8 @@ class Share:
     def from_json(cls, obj: dict) -> "Share":
         if serde.require(obj, "format", str) != SHARE_FORMAT:
             raise ValueError(f"unsupported share format {obj['format']!r}")
+        if unknown := sorted(obj.keys() - {"format", "party", "opening", "ciphertext", "crs"}):
+            raise ValueError(f"unknown share keys {unknown}")
         crs = CRS.from_json(serde.require(obj, "crs", dict))
         party = serde.require(obj, "party", int)
         if not 1 <= party <= crs.n:

@@ -111,6 +111,8 @@ class WECiphertext:
     @classmethod
     def from_json(cls, obj: dict) -> "WECiphertext":
         backend = serde.require(obj, "backend", str)
+        if unknown := sorted(obj.keys() - {"backend", "instance_digest", "msg_len", "payload"}):
+            raise ValueError(f"unknown ciphertext keys {unknown}")
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         msg_len = serde.require(obj, "msg_len", int)

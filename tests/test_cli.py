@@ -763,8 +763,8 @@ DROP = object()
 def share_mutation(draw, share):
     """(path, change) for one malformed share file: a key dropped, a value
     of the wrong type, truncated or garbage hex, a party out of range, a
-    scalar or array in place of an object, or an extra key in an object
-    inside the payload.  ``change(old)`` is the new value or DROP."""
+    scalar or array in place of an object, or an extra key in any object,
+    inside the payload or out.  ``change(old)`` is the new value or DROP."""
     nodes = list(_nodes(_decode_payload(share)))
     kind = draw(st.sampled_from(["drop", "retype", "hex", "party", "not-an-object", "extra-key"]))
     if kind == "party":
@@ -777,10 +777,8 @@ def share_mutation(draw, share):
     elif kind == "hex":
         choices = [p for p, v in nodes if p == ("ciphertext", "payload") or (
             isinstance(v, str) and HEX.fullmatch(v))]
-    elif kind == "not-an-object":
+    else:  # not-an-object, extra-key
         choices = [p for p, v in nodes if isinstance(v, dict)]
-    else:
-        choices = [p for p, v in nodes if isinstance(v, dict) and p[:2] == ("ciphertext", "payload")]
     path = draw(st.sampled_from(choices))
     old = dict(nodes)[path]
     if kind == "extra-key":
@@ -1180,16 +1178,22 @@ def test_unknown_structure_key_exit_2_with_one_line(workdir, capsys, command, st
     assert not (workdir / "x").exists()
 
 
-@pytest.mark.parametrize("rewrite", [
-    lambda doc: doc["ciphertext"].update(payload=json.dumps(
-        doc["ciphertext"]["payload"], indent=1, sort_keys=True).encode().hex()),
-    lambda doc: doc["ciphertext"]["payload"]["relation"].update(bogus=1),
-    lambda doc: doc["ciphertext"]["payload"]["relation"]["instance"].update(bogus=1),
-    lambda doc: doc["ciphertext"]["payload"]["relation"]["instance"]["crs"].update(bogus=1),
+NOT_CANONICAL = "error: payload is not the canonical rendering of its relation\n"
+
+
+@pytest.mark.parametrize("rewrite, expected", [
+    (lambda doc: doc["ciphertext"].update(payload=json.dumps(
+        doc["ciphertext"]["payload"], indent=1, sort_keys=True).encode().hex()), NOT_CANONICAL),
+    (lambda doc: doc["ciphertext"]["payload"]["relation"].update(bogus=1), NOT_CANONICAL),
+    (lambda doc: doc["ciphertext"]["payload"]["relation"]["instance"].update(bogus=1),
+     NOT_CANONICAL),
+    (lambda doc: doc["ciphertext"]["payload"]["relation"]["instance"]["crs"].update(bogus=1),
+     "error: embedded relation does not load: ValueError(\"unknown crs keys ['bogus']\")\n"),
 ], ids=["reindented", "relation-key", "instance-key", "crs-key"])
-def test_recon_non_canonical_payload_exit_2_with_one_line(dealt, capsys, rewrite):
+def test_recon_non_canonical_payload_exit_2_with_one_line(dealt, capsys, rewrite, expected):
     """A payload is the canonical JSON of exactly its fields: both share files
-    rewritten the same way get past the mixed-dealing check and are refused."""
+    rewritten the same way get past the mixed-dealing check and are refused.
+    The CRS reader refuses an unknown key itself, before the canonical check."""
     root, shares = dealt
     paths = [root / "rewritten_1.json", root / "rewritten_2.json"]
     for share, path in zip(shares, paths):
@@ -1197,9 +1201,26 @@ def test_recon_non_canonical_payload_exit_2_with_one_line(dealt, capsys, rewrite
         rewrite(doc)
         path.write_text(json.dumps(_encode_payload(doc)))
     assert run("recon", "--parties", "1,2", "--out", root / "rewritten.out", *paths) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == "error: payload is not the canonical rendering of its relation\n"
+    assert capsys.readouterr().err == expected
     assert not (root / "rewritten.out").exists()
+
+
+@pytest.mark.parametrize("where, name", [
+    (lambda doc: doc, "share"), (lambda doc: doc["crs"], "crs"),
+    (lambda doc: doc["ciphertext"], "ciphertext"),
+], ids=["top-level", "crs", "ciphertext"])
+def test_recon_share_with_an_unknown_key_exit_2_with_one_line(dealt, capsys, where, name):
+    """A share file's readers refuse a key they do not know, at its top level,
+    in its ``crs`` and in its ``ciphertext`` envelope, as in its payload."""
+    root, shares = dealt
+    paths = [root / "extra_1.json", root / "extra_2.json"]
+    for share, path in zip(shares, paths):
+        doc = json.loads(json.dumps(share))
+        where(doc)["bogus"] = 1
+        path.write_text(json.dumps(doc))
+    assert run("recon", "--parties", "1,2", "--out", root / "extra.out", *paths) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {paths[0]}: unknown {name} keys ['bogus']\n"
+    assert not (root / "extra.out").exists()
 
 
 @pytest.mark.parametrize("k", [12, 13])

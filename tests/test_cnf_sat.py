@@ -163,12 +163,13 @@ def test_tseitin_equals_reference_on_random_circuits():
          "gate wire 2 reads wires 0, 3, not both earlier"),
         (BooleanCircuit(2, [("and", 0, 2)], 2), "gate wire 2 reads wires 0, 2, not both earlier"),
         (BooleanCircuit(2, [("and", 0, 1), ("not", 4)], 3), "gate wire 3 reads wire 4, not an earlier one"),
+        (BooleanCircuit(2, [("not", -1)], 2), "gate wire 2 reads wire -1, not an earlier one"),
         (BooleanCircuit(2, [("and", 0, 1)], -2), "output -2 is not a wire"),
         (BooleanCircuit(2, [("and", 0, 1)], 3), "output 3 is not a wire"),
         (BooleanCircuit(-1, [], False), "negative input count"),
     ],
     ids=["negative operand", "forward reference", "reads itself", "not reads ahead",
-         "output -2", "output past the last wire", "negative inputs"],
+         "not reads wire -1", "output -2", "output past the last wire", "negative inputs"],
 )
 def test_tseitin_rejects_malformed_circuits(circuit, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -228,6 +229,8 @@ def test_tseitin_of_compiled_instances_is_golden(structure, digest):
     cnf = tseitin(circuit)
     assert hashlib.sha256(dimacs(cnf).encode()).hexdigest() == digest
     assert all(map(is_normal, cnf.clauses))
+    # one int object per literal: variable v's v and -v, shared by every clause
+    assert len({id(lit) for clause in cnf.clauses for lit in clause}) <= 2 * cnf.num_vars
 
 
 def per_clause_fault(num_vars, clauses):
@@ -326,6 +329,21 @@ def test_cnf_validation_memory_stays_within_one_slice():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024, peak
+
+
+def test_tseitin_cnf_of_hamiltonian5_retains_one_int_per_literal():
+    # 45k clause tuples and lists take ~3.9 MB; a fresh int per literal
+    # occurrence (100k of them, not 2 * 13,842) took 6.0 MB.
+    circuit = honest_circuit(hamiltonian_structure(5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cnf = tseitin(circuit)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cnf.clauses) > 45_000
+    assert retained < 4.5 * 2**20, retained
 
 
 def per_literal_check(cnf, assignment):
